@@ -46,6 +46,13 @@ def _strength_value(text: str) -> float:
     return value
 
 
+def _probe_strength(text: str) -> float:
+    value = _strength_value(text)
+    if value == 0.0:  # a zero-strength probe records nothing the estimator can invert
+        raise argparse.ArgumentTypeError("probe strength must be positive")
+    return value
+
+
 def _strength_list(text: str) -> tuple[float, ...]:
     parts = [p for p in text.split(",") if p.strip()]
     if not parts:
@@ -75,8 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="run a strength sweep and emit CSV or JSON")
-    sweep.add_argument("--theta-w-strength", type=_strength_value, default=0.05,
-                       help="probe measurement strength (default 0.05)")
+    sweep.add_argument("--theta-w-strength", type=_probe_strength, default=0.05,
+                       help="probe measurement strength in (0, 1] (default 0.05)")
     grid = sweep.add_mutually_exclusive_group()
     grid.add_argument("--strengths", type=_strength_list, metavar="S1,S2,...",
                       help="explicit comma-separated strengths in [0, 1]")
@@ -91,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="apply relaxation only to the qubits a gate acts on")
     sweep.add_argument("--mode", choices=MODES, default="sampled")
     sweep.add_argument("--jobs", type=_positive_int, default=1,
-                       help="worker processes (results identical for any value)")
+                       help="worker processes, at most one per point (results identical for any value)")
     sweep.add_argument("--sigma-source", choices=SIGMA_SOURCES, default="ideal",
                        help="take sigma_A, sigma_B from the ideal input state or the simulated post-probe state")
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")

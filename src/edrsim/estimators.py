@@ -11,7 +11,10 @@ with E the measured correlator; the weak-valued root-mean-square spread
     sum (a_i - a_f)^2 P_wv(a_i, a_f) = 2 (1 - E / cos(theta_w))
 
 then estimates the squared error (z records) or squared disturbance
-(x records) of the main measurement.  Squared estimates can go slightly
+(x records) of the main measurement.  The sweep evaluates this directly on
+the 16-outcome probabilities or on sampled counts (``weak_valued_squares``);
+the pair-marginal path (``JointDistribution``, ``estimate_from_distribution``)
+is the slower reference it is checked against.  Squared estimates can go slightly
 negative under sampling noise; they are reported raw alongside estimates
 clamped at zero before the square root.
 """
@@ -108,36 +111,6 @@ def exact_joint_distributions(
     return dist_z, dist_x
 
 
-@dataclass(frozen=True)
-class ShotRecord:
-    """Counts of the 16 joint outcomes, index bits ordered (z_i, x_i, z_f, x_f)."""
-
-    counts: np.ndarray
-    total_shots: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.int64)
-        object.__setattr__(self, "counts", counts)
-        if counts.shape != (16,):
-            raise ValueError(f"counts must have 16 entries, got shape {counts.shape}")
-        if np.any(counts < 0):
-            raise ValueError("negative count")
-        if int(counts.sum()) != self.total_shots:
-            raise ValueError(f"counts sum {counts.sum()} != total_shots {self.total_shots}")
-
-    def frequencies(self) -> np.ndarray:
-        return self.counts / float(self.total_shots)
-
-    def joint(self, pair: str) -> JointDistribution:
-        """Empirical (z_i, z_f) or (x_i, x_f) marginal for pair in {"z", "x"}."""
-        if pair == "z":
-            return _pair_marginal(self.frequencies(), 0, 2, ("z_i", "z_f"))
-        if pair == "x":
-            return _pair_marginal(self.frequencies(), 1, 3, ("x_i", "x_f"))
-        raise ValueError(f"pair must be 'z' or 'x', got {pair!r}")
-
-
 def derive_seed(base_seed: int, *indices: int) -> int:
     """Deterministic per-task seed from a base seed and position indices."""
     ss = np.random.SeedSequence([int(base_seed), *[int(i) for i in indices]])
@@ -145,9 +118,11 @@ def derive_seed(base_seed: int, *indices: int) -> int:
 
 
 def sample_counts(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """Draw i.i.d. outcomes by inverse transform over the outcome index.
+    """Counts of ``shots`` i.i.d. outcomes, from one multinomial draw.
 
-    Outcomes with exactly zero probability are never produced.
+    Time and memory are O(len(probs)) whatever ``shots`` is.  Outcomes with
+    exactly zero probability are never produced: they are left out of the
+    draw, so none can receive the rounding remainder.
     """
     probs = np.asarray(probs, dtype=float)
     if shots < 1:
@@ -155,23 +130,32 @@ def sample_counts(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
     if np.any(probs < -1e-12):
         raise ValueError("negative probability in outcome distribution")
     probs = np.clip(probs, 0.0, None)
-    cdf = np.cumsum(probs / probs.sum())
-    cdf[-1] = 1.0
+    drawn = np.flatnonzero(probs)
+    counts = np.zeros(probs.size, dtype=np.int64)
     rng = np.random.default_rng(int(seed))
-    draws = np.searchsorted(cdf, rng.random(shots), side="right")
-    return np.bincount(draws, minlength=probs.size).astype(np.int64)
+    counts[drawn] = rng.multinomial(int(shots), probs[drawn] / probs[drawn].sum())
+    return counts
 
 
-def sample_shots(
-    theta_w: float,
-    theta: float,
-    shots: int,
-    seed: int,
-    noise: NoiseModel | None = None,
-) -> ShotRecord:
-    """Sample the experiment's joint readout ``shots`` times, deterministically in ``seed``."""
-    probs = outcome_distribution(theta_w, theta, noise)
-    return ShotRecord(sample_counts(probs, shots, seed), int(shots), int(seed))
+# CORRELATOR_SIGNS[k] = (z_i z_f, x_i x_f) for outcome index k, bits (z_i, x_i, z_f, x_f)
+_BITS = 1 - 2 * ((np.arange(16)[:, None] >> np.array([3, 2, 1, 0])) & 1)
+CORRELATOR_SIGNS = np.stack([_BITS[:, 0] * _BITS[:, 2], _BITS[:, 1] * _BITS[:, 3]], axis=1)
+
+
+def weak_valued_squares(
+    weights: np.ndarray, theta_w: float, total: float = 1.0
+) -> np.ndarray:
+    """Squared error and disturbance estimates, ``[..., (epsilon^2, eta^2)]``.
+
+    ``weights`` holds 16-outcome probabilities or counts on its last axis,
+    ``total`` their sum.  The correlators E = weights @ CORRELATOR_SIGNS /
+    total enter 2 (1 - E / cos(theta_w)); integer counts are summed exactly
+    before the one division.
+    """
+    cw = math.cos(theta_w)
+    if cw < 1e-12:  # the 1/cos normalisation is meaningless at zero strength
+        raise ValueError(f"probe strength cos(theta_w) = {cw} is too small to invert")
+    return 2.0 * (1.0 - np.asarray(weights) @ CORRELATOR_SIGNS / total / cw)
 
 
 @dataclass(frozen=True)
@@ -211,16 +195,6 @@ def estimate_from_distribution(
         eta_sq=eta_sq,
         method=method,
         shots=shots,
-    )
-
-
-def estimate_from_shots(record: ShotRecord, theta_w: float) -> ErrDistEstimate:
-    return estimate_from_distribution(
-        record.joint("z"),
-        record.joint("x"),
-        theta_w,
-        method="sampled",
-        shots=record.total_shots,
     )
 
 

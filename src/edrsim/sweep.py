@@ -26,15 +26,7 @@ import numpy as np
 
 from . import bounds as edr_bounds
 from .circuit import METER, SYSTEM, angle_for_strength, build_edr_circuit
-from .estimators import (
-    ErrDistEstimate,
-    derive_seed,
-    estimate_from_distribution,
-    exact_joint_distributions,
-    outcome_distribution,
-    sample_counts,
-    ShotRecord,
-)
+from .estimators import derive_seed, outcome_distribution, sample_counts, weak_valued_squares
 from .measurement import exact_disturbance, exact_error, reference_input_state, standard_deviation
 from .noise import CalibrationProfile, NoiseModel, compile_noise
 from .qsim import DensityMatrix, X, Z
@@ -151,7 +143,8 @@ def _inputs(
 
 
 def _bound_stats(
-    per_repeat: list[ErrDistEstimate],
+    eps_values: list[float],
+    eta_values: list[float],
     mean_eps: float,
     mean_eta: float,
     sigma_a: float,
@@ -160,10 +153,10 @@ def _bound_stats(
 ) -> tuple[edr_bounds.EdrReport, dict[str, float]]:
     report = edr_bounds.classify(_inputs(mean_eps, mean_eta, sigma_a, sigma_b, c))
     scatter: dict[str, float] = {}
-    if len(per_repeat) > 1:
+    if len(eps_values) > 1:
         per_lhs = {name: [] for name in edr_bounds.BOUND_NAMES}
-        for est in per_repeat:
-            rep = edr_bounds.classify(_inputs(est.epsilon, est.eta, sigma_a, sigma_b, c))
+        for eps, eta in zip(eps_values, eta_values):
+            rep = edr_bounds.classify(_inputs(eps, eta, sigma_a, sigma_b, c))
             for name in edr_bounds.BOUND_NAMES:
                 per_lhs[name].append(rep.lhs(name))
         for name in edr_bounds.BOUND_NAMES:
@@ -176,18 +169,21 @@ def _bound_stats(
 def _assemble_row(
     strength: float,
     method: str,
-    estimates: list[ErrDistEstimate],
+    squares: np.ndarray,
     refs: tuple[float, float],
     sigmas: tuple[float, float],
     c: float,
     shots: int,
-    repeats: int,
 ) -> SweepResultRow:
-    eps_values = [e.epsilon for e in estimates]
-    eta_values = [e.eta for e in estimates]
+    """One row from the (repeats, 2) squared estimates, clamped at zero before the root."""
+    roots = np.sqrt(np.maximum(squares, 0.0)).reshape(-1, 2)
+    eps_values = roots[:, 0].tolist()
+    eta_values = roots[:, 1].tolist()
     eps_mean = sum(eps_values) / len(eps_values)
     eta_mean = sum(eta_values) / len(eta_values)
-    report, scatter = _bound_stats(estimates, eps_mean, eta_mean, sigmas[0], sigmas[1], c)
+    report, scatter = _bound_stats(
+        eps_values, eta_values, eps_mean, eta_mean, sigmas[0], sigmas[1], c
+    )
     return SweepResultRow(
         strength=strength,
         method=method,
@@ -213,69 +209,88 @@ def _assemble_row(
         strong_branciard_rms=scatter["strong_branciard"],
         strong_branciard_satisfied=report.satisfied["strong_branciard"],
         shots=shots,
-        repeats=repeats,
+        repeats=len(eps_values),
     )
 
 
-def _point_rows(cfg: SweepConfig, index: int, strength: float) -> list[SweepResultRow]:
-    """Rows for one strength point; exact first when mode is 'both'."""
+@dataclass(frozen=True)
+class _SweepConstants:
+    """Everything a point needs that does not depend on its strength."""
+
+    theta_w: float
+    model: NoiseModel | None
+    probe_state: DensityMatrix
+    sigmas: tuple[float, float]
+    c: float
+
+
+def _sweep_constants(cfg: SweepConfig) -> _SweepConstants:
     theta_w = angle_for_strength(cfg.theta_w_strength)
-    theta = angle_for_strength(strength)
     model = (
         compile_noise(cfg.noise_profile, include_idle=cfg.include_idle)
         if cfg.noise_profile is not None
         else None
     )
     probe_state = post_probe_system_state(theta_w)
-    refs = (exact_error(probe_state, strength), exact_disturbance(probe_state, strength))
     if cfg.sigma_source == "ideal":
         sigma_state = reference_input_state()
     else:
         sigma_state = post_probe_system_state(theta_w, model)
     sigmas = (standard_deviation(sigma_state, Z), standard_deviation(sigma_state, X))
-    c = edr_bounds.effective_bound(theta_w)
+    return _SweepConstants(theta_w, model, probe_state, sigmas, edr_bounds.effective_bound(theta_w))
 
-    probs = outcome_distribution(theta_w, theta, model)
+
+def _repeat_squares(
+    cfg: SweepConfig, index: int, probs: np.ndarray, theta_w: float
+) -> np.ndarray:
+    """(repeats, 2) squared estimates of point ``index``, one seeded batch per repeat."""
+    counts = np.stack([
+        sample_counts(probs, cfg.shots, derive_seed(cfg.seed, index, repeat))
+        for repeat in range(cfg.repeats)
+    ])
+    return weak_valued_squares(counts, theta_w, cfg.shots)
+
+
+def _point_rows(
+    cfg: SweepConfig, consts: _SweepConstants, index: int, strength: float
+) -> list[SweepResultRow]:
+    """Rows for one strength point; exact first when mode is 'both'."""
+    refs = (
+        exact_error(consts.probe_state, strength),
+        exact_disturbance(consts.probe_state, strength),
+    )
+    probs = outcome_distribution(consts.theta_w, angle_for_strength(strength), consts.model)
     rows = []
     if cfg.mode in ("exact", "both"):
-        dist_z, dist_x = exact_joint_distributions(theta_w, theta, model)
-        est = estimate_from_distribution(dist_z, dist_x, theta_w)
-        rows.append(_assemble_row(strength, "exact", [est], refs, sigmas, c, 0, 1))
+        squares = weak_valued_squares(probs, consts.theta_w)
+        rows.append(
+            _assemble_row(strength, "exact", squares, refs, consts.sigmas, consts.c, 0)
+        )
     if cfg.mode in ("sampled", "both"):
-        estimates = []
-        for repeat in range(cfg.repeats):
-            seed = derive_seed(cfg.seed, index, repeat)
-            record = ShotRecord(
-                sample_counts(probs, cfg.shots, seed), cfg.shots, seed
-            )
-            estimates.append(
-                estimate_from_distribution(
-                    record.joint("z"),
-                    record.joint("x"),
-                    theta_w,
-                    method="sampled",
-                    shots=cfg.shots,
-                )
-            )
+        squares = _repeat_squares(cfg, index, probs, consts.theta_w)
         rows.append(
             _assemble_row(
-                strength, "sampled", estimates, refs, sigmas, c, cfg.shots, cfg.repeats
+                strength, "sampled", squares, refs, consts.sigmas, consts.c, cfg.shots
             )
         )
     return rows
 
 
-def _point_task(payload: tuple[SweepConfig, int, float]) -> list[SweepResultRow]:
+def _point_task(
+    payload: tuple[SweepConfig, _SweepConstants, int, float],
+) -> list[SweepResultRow]:
     return _point_rows(*payload)
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepResultRow]:
     """All sweep rows, ordered by method block (exact before sampled) then strength."""
-    tasks = [(cfg, i, s) for i, s in enumerate(cfg.strengths)]
-    if cfg.jobs == 1:
+    consts = _sweep_constants(cfg)
+    tasks = [(cfg, consts, i, s) for i, s in enumerate(cfg.strengths)]
+    workers = min(cfg.jobs, len(tasks))
+    if workers == 1:
         per_point = [_point_task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_point = list(pool.map(_point_task, tasks))
     rows: list[SweepResultRow] = []
     for method in ("exact", "sampled"):

@@ -25,7 +25,11 @@ import pytest
 import helpers
 from edrsim.bounds import EdrInputs, classify, effective_bound
 from edrsim.circuit import angle_for_strength
-from edrsim.estimators import estimate_from_distribution, exact_joint_distributions
+from edrsim.estimators import (
+    estimate_from_distribution,
+    exact_joint_distributions,
+    outcome_distribution,
+)
 from edrsim.measurement import (
     commutator_bound,
     exact_disturbance,
@@ -34,7 +38,7 @@ from edrsim.measurement import (
 )
 from edrsim.noise import representative_profile
 from edrsim.qsim import DensityMatrix, X, Z
-from edrsim.sweep import SweepConfig, default_strength_grid, run_sweep
+from edrsim.sweep import SweepConfig, _repeat_squares, default_strength_grid, run_sweep
 
 THETA_W = angle_for_strength(0.05)
 GRID = default_strength_grid(21)
@@ -189,6 +193,46 @@ def test_gate_8_byte_identical_outputs(tmp_path):
     print(f"gate 8 {'PASS' if ok else 'FAIL'}: repeated and parallel sweep runs are "
           f"byte-identical for CSV and JSON ({len(rows)} rows)")
     assert ok
+
+
+# Two-sided chi-square quantiles, from scipy.stats.chi2.ppf(q, df) and widened
+# outward in the fourth digit.  Per point (df = R - 1 = 9) the tail is 1e-5, so
+# the 84 per-point checks below falsely fail together with probability < 1e-3;
+# pooled over the 21 points (df = 189) the tail is 1e-4 for each of 4 checks.
+CHI2_9_BAND = (0.3295, 41.01)  # q = 5e-6, 1 - 5e-6
+CHI2_189_BAND = (122.5, 274.3)  # q = 5e-5, 1 - 5e-5
+PREDICTED_ERROR_SEED = 271828
+
+
+@pytest.mark.parametrize("shots", [100_000, 2_500_000])
+def test_predicted_shot_noise_matches_repeat_scatter(shots):
+    """Var(eps^2) = 4 (1 - E^2) / (N cos^2 theta_w), likewise eta^2.
+
+    Each squared estimate is linear in a mean of N i.i.d. +/-1 products with
+    mean E, so the delta-method variance is exact here; the sum of squared
+    deviations of R repeats over that variance is chi-square with R - 1
+    degrees of freedom.
+    """
+    cfg = SweepConfig(strengths=GRID, shots=shots, repeats=10, seed=PREDICTED_ERROR_SEED)
+    cw = math.cos(THETA_W)
+    stats = np.empty((len(GRID), 2))
+    for index, s in enumerate(GRID):
+        theta = angle_for_strength(s)
+        squares = _repeat_squares(cfg, index, outcome_distribution(THETA_W, theta), THETA_W)
+        dist_z, dist_x = exact_joint_distributions(THETA_W, theta)
+        corr = np.array([dist_z.correlator(), dist_x.correlator()])
+        predicted = 4.0 * (1.0 - corr**2) / (shots * cw * cw)
+        stats[index] = ((squares - squares.mean(axis=0)) ** 2).sum(axis=0) / predicted
+    pooled = stats.sum(axis=0)
+    ok = (
+        CHI2_9_BAND[0] <= stats.min() and stats.max() <= CHI2_9_BAND[1]
+        and CHI2_189_BAND[0] <= pooled.min() and pooled.max() <= CHI2_189_BAND[1]
+    )
+    print(f"predicted shot noise {'PASS' if ok else 'FAIL'} at {shots} shots x 10 repeats: "
+          f"per-point chi2_9 in [{stats.min():.2f}, {stats.max():.2f}] (band {CHI2_9_BAND}); "
+          f"pooled chi2_189 eps {pooled[0]:.1f}, eta {pooled[1]:.1f} (band {CHI2_189_BAND})")
+    assert CHI2_9_BAND[0] <= stats.min() and stats.max() <= CHI2_9_BAND[1]
+    assert CHI2_189_BAND[0] <= pooled.min() and pooled.max() <= CHI2_189_BAND[1]
 
 
 def test_gate_9_estimator_bias_budget():

@@ -138,3 +138,43 @@ def test_check_subcommand_passes():
     lines = result.stdout.strip().splitlines()
     assert lines[-1].startswith("all ")
     assert all(line.startswith("ok") for line in lines[:-1])
+
+
+def test_sweep_zero_probe_strength_is_usage_error():
+    result = run_cli("sweep", "--grid", "2", "--mode", "exact", "--theta-w-strength", "0")
+    assert result.returncode == 1
+    assert "usage" in result.stderr.lower()
+    assert "probe strength must be positive" in result.stderr
+
+
+class _RecordingPool:
+    """Serial stand-in for ProcessPoolExecutor that records the worker count."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_sweep_jobs_clamped_to_point_count(monkeypatch, tmp_path):
+    import edrsim.sweep
+    from edrsim.cli import main
+
+    monkeypatch.setattr(edrsim.sweep, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    args = ["sweep", "--strengths", "0.2,0.8", "--mode", "exact", "--format", "json"]
+    assert main([*args, "--jobs", "64", "--out", str(tmp_path / "many.json")]) == 0
+    assert main([*args, "--jobs", "1", "--out", str(tmp_path / "one.json")]) == 0
+    assert main(["sweep", "--strengths", "0.5", "--mode", "exact", "--jobs", "8",
+                 "--out", str(tmp_path / "single.csv")]) == 0
+    assert _RecordingPool.sizes == [2]  # 64 -> 2 points; one point runs in-process
+    assert (tmp_path / "many.json").read_bytes() == (tmp_path / "one.json").read_bytes()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,16 +10,15 @@ import helpers
 from edrsim.circuit import angle_for_strength, build_edr_circuit
 from edrsim.estimators import (
     JointDistribution,
-    ShotRecord,
+    _pair_marginal,
     derive_seed,
     estimate_from_distribution,
-    estimate_from_shots,
     exact_joint_distributions,
     outcome_distribution,
     run_circuit,
     sample_counts,
-    sample_shots,
     weak_valued_rms,
+    weak_valued_squares,
     weak_valued_table,
 )
 
@@ -119,42 +119,76 @@ def test_sample_counts_never_draws_zero_probability_outcomes():
         assert drawn <= {0, 5, 10}
 
 
+def test_sample_counts_huge_shot_count_allocates_nothing_per_shot():
+    probs = np.zeros(16)
+    probs[[1, 6, 12]] = (0.2, 0.5, 0.3)
+    tracemalloc.start()
+    try:
+        counts = sample_counts(probs, 10**12, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() == 10**12
+    assert set(np.nonzero(counts)[0]) == {1, 6, 12}
+    assert peak < 64 * 1024  # one 8-byte float per shot would be 8 TB
+    assert abs(counts[6] / 10**12 - 0.5) < 1e-5
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_sampled_frequencies_form_valid_record(seed):
-    record = sample_shots(THETA_W, angle_for_strength(0.5), 2000, seed)
-    assert record.total_shots == 2000
-    freq = record.frequencies()
+    counts = sample_counts(outcome_distribution(THETA_W, angle_for_strength(0.5)), 2000, seed)
+    assert counts.shape == (16,) and np.all(counts >= 0)
+    assert counts.sum() == 2000
+    freq = counts / 2000
     assert abs(freq.sum() - 1.0) < 1e-12
-    for pair in ("z", "x"):
-        joint = record.joint(pair)
-        assert abs(sum(joint.probs.values()) - 1.0) < 1e-12
-
-
-def test_shot_record_validation():
-    with pytest.raises(ValueError):
-        ShotRecord(np.zeros(8, dtype=np.int64), 0, 1)
-    counts = np.zeros(16, dtype=np.int64)
-    counts[0] = 5
-    with pytest.raises(ValueError):
-        ShotRecord(counts, 6, 1)
-    counts[1] = -1
-    with pytest.raises(ValueError):
-        ShotRecord(counts, 4, 1)
-
-
-def test_estimate_from_shots_converges():
-    record = sample_shots(
-        THETA_W, angle_for_strength(0.5), 4_000_000, derive_seed(77, 0, 0)
+    # the pair marginals validate as distributions, and the reference
+    # estimator on them agrees with the vectorised one on the counts
+    ref = estimate_from_distribution(
+        _pair_marginal(freq, 0, 2, ("z_i", "z_f")),
+        _pair_marginal(freq, 1, 3, ("x_i", "x_f")),
+        THETA_W,
     )
-    est = estimate_from_shots(record, THETA_W)
+    got = weak_valued_squares(counts, THETA_W, 2000)
+    assert abs(got[0] - ref.epsilon_sq) < 1e-12
+    assert abs(got[1] - ref.eta_sq) < 1e-12
+
+
+def test_sample_counts_validation():
+    probs = outcome_distribution(THETA_W, angle_for_strength(0.5))
+    with pytest.raises(ValueError):
+        sample_counts(probs, 0, 1)
+    bad = probs.copy()
+    bad[0] -= 0.2
+    bad[1] += 0.2
+    with pytest.raises(ValueError):
+        sample_counts(bad, 100, 1)
+
+
+def test_sampled_squares_converge():
+    probs = outcome_distribution(THETA_W, angle_for_strength(0.5))
+    counts = sample_counts(probs, 4_000_000, derive_seed(77, 0, 0))
+    got = weak_valued_squares(counts, THETA_W, 4_000_000)
     exact_z, exact_x = exact_joint_distributions(THETA_W, angle_for_strength(0.5))
     want = estimate_from_distribution(exact_z, exact_x, THETA_W)
     # weak-value amplification leaves ~20x sampling noise on the squares
-    assert abs(est.epsilon_sq - want.epsilon_sq) < 0.1
-    assert abs(est.eta_sq - want.eta_sq) < 0.1
-    assert est.method == "sampled"
-    assert est.shots == 4_000_000
+    assert abs(got[0] - want.epsilon_sq) < 0.1
+    assert abs(got[1] - want.eta_sq) < 0.1
+
+
+def test_weak_valued_squares_matches_reference_and_broadcasts():
+    for s in (0.0, 0.35, 1.0):
+        probs = outcome_distribution(THETA_W, angle_for_strength(s))
+        dist_z, dist_x = exact_joint_distributions(THETA_W, angle_for_strength(s))
+        want = estimate_from_distribution(dist_z, dist_x, THETA_W)
+        got = weak_valued_squares(probs, THETA_W)
+        assert got.shape == (2,)
+        assert abs(got[0] - want.epsilon_sq) < 1e-12
+        assert abs(got[1] - want.eta_sq) < 1e-12
+        stacked = weak_valued_squares(np.stack([probs, probs]), THETA_W)
+        assert stacked.shape == (2, 2) and np.abs(stacked - got).max() < 1e-14
+    with pytest.raises(ValueError):
+        weak_valued_squares(probs, math.pi / 2.0)
 
 
 def test_weak_valued_table_sums_to_one_and_matches_rms():

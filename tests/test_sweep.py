@@ -6,8 +6,9 @@ import pytest
 
 from edrsim.bounds import effective_bound
 from edrsim.circuit import angle_for_strength
+from edrsim.estimators import estimate_from_distribution, exact_joint_distributions
 from edrsim.measurement import reference_input_state
-from edrsim.noise import representative_profile
+from edrsim.noise import compile_noise, representative_profile
 from edrsim.qsim import X, Z
 from edrsim.sweep import (
     CSV_COLUMNS,
@@ -68,6 +69,22 @@ def test_exact_rows_carry_reference_curves():
         assert abs(row.eta_exact - want_eta) < 1e-9
         assert row.sigma_a == 1.0 and row.sigma_b == 1.0
         assert abs(row.c - effective_bound(angle_for_strength(0.05))) < 1e-15
+
+
+def test_exact_rows_match_reference_estimator():
+    theta_w = angle_for_strength(0.05)
+    grid = default_strength_grid(11)
+    for profile in (None, representative_profile()):
+        rows = run_sweep(small_config(strengths=grid, noise_profile=profile))
+        model = compile_noise(profile) if profile is not None else None
+        for row in rows:
+            dist_z, dist_x = exact_joint_distributions(
+                theta_w, angle_for_strength(row.strength), model
+            )
+            want = estimate_from_distribution(dist_z, dist_x, theta_w)
+            # squares: the root of an ulp-sized square is not ulp-sized
+            assert abs(row.epsilon_mean**2 - max(want.epsilon_sq, 0.0)) <= 1e-12
+            assert abs(row.eta_mean**2 - max(want.eta_sq, 0.0)) <= 1e-12
 
 
 def test_exact_tradeoff_is_monotone():
