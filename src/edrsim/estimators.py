@@ -17,16 +17,20 @@ the pair-marginal path (``JointDistribution``, ``estimate_from_distribution``)
 is the slower reference it is checked against.  Squared estimates can go slightly
 negative under sampling noise; they are reported raw alongside estimates
 clamped at zero before the square root.
+
+A sweep evolves the circuit once (``readout_basis``), not once per strength
+(``outcome_distribution``, kept as the per-point reference): the readout
+distribution is affine in (1, cos theta, sin theta) of the meter angle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuit import Circuit, build_edr_circuit
+from .circuit import METER, Circuit, build_edr_circuit
 from .noise import NoiseModel, apply_readout_confusion
 from .qsim import DensityMatrix
 
@@ -60,9 +64,11 @@ class JointDistribution:
         return sum(a * b * p for (a, b), p in self.probs.items())
 
 
-def run_circuit(circuit: Circuit, noise: NoiseModel | None = None) -> DensityMatrix:
-    """Evolve |0...0> through the circuit, interleaving compiled noise channels."""
-    state = DensityMatrix.ground(circuit.num_qubits)
+def run_circuit(
+    circuit: Circuit, noise: NoiseModel | None = None, state: DensityMatrix | None = None
+) -> DensityMatrix:
+    """Evolve ``state`` (|0...0> by default) through the circuit, with compiled noise channels."""
+    state = DensityMatrix.ground(circuit.num_qubits) if state is None else state
     for op in circuit.ops:
         state = state.apply_unitary(op.matrix(), op.qubits)
         if noise is not None:
@@ -80,11 +86,48 @@ def outcome_distribution(
     exactly the distribution the sampler draws from.
     """
     circuit = build_edr_circuit(theta_w, theta)
-    state = run_circuit(circuit, noise)
+    return _readout(run_circuit(circuit, noise), circuit, noise)
+
+
+def _readout(state: DensityMatrix, circuit: Circuit, noise: NoiseModel | None) -> np.ndarray:
     probs = state.probabilities(circuit.measured_qubits)
     if noise is not None:
         probs = apply_readout_confusion(probs, noise, circuit.measured_qubits)
     return probs
+
+
+def split_at_meter(circuit: Circuit) -> tuple[Circuit, Circuit]:
+    """The ops before the meter's preparation rotation, and the rest with the readouts."""
+    start = next(i for i, op in enumerate(circuit.ops) if METER in op.qubits)
+    n = circuit.num_qubits
+    return Circuit(n, circuit.ops[:start]), Circuit(n, circuit.ops[start:], circuit.measurements)
+
+
+def readout_basis(
+    theta_w: float, noise: NoiseModel | None = None
+) -> tuple[np.ndarray, DensityMatrix]:
+    """The 3x16 basis [A; B; C] of the readout distribution, and the state before the meter.
+
+    At meter angle theta the distribution, readout confusion included, is
+    A + B cos(theta) + C sin(theta): no op before the meter's rotation and no
+    noise channel depends on theta, and the rest is linear in the meter state.
+    So the prefix is evolved once and the tail three times, at theta = 0,
+    pi/2 and pi, which give A + B, A + C and A - B.
+    """
+    prefix, tail = split_at_meter(build_edr_circuit(theta_w, 0.0))
+    state = run_circuit(prefix, noise)
+    rows = []
+    for angle in (0.0, math.pi / 2.0, math.pi):
+        circuit = replace(tail, ops=(replace(tail.ops[0], angle=angle), *tail.ops[1:]))
+        rows.append(_readout(run_circuit(circuit, noise, state), circuit, noise))
+    plus, mid, minus = rows
+    a = (plus + minus) / 2.0
+    return np.stack([a, (plus - minus) / 2.0, mid - a]), state
+
+
+def basis_probabilities(basis: np.ndarray, strength: float) -> np.ndarray:
+    """The 16 readout probabilities at meter strength s = cos(theta) from a ``readout_basis``."""
+    return np.array([1.0, strength, math.sqrt((1.0 - strength) * (1.0 + strength))]) @ basis
 
 
 def _pair_marginal(

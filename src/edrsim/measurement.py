@@ -21,6 +21,11 @@ to closed forms independent of the system state:
 
     error        = sqrt(2 (1 - s))
     disturbance  = sqrt(2 (1 - sqrt(1 - s^2)))
+
+Both are evaluated in norm form, <D^2> = ||D (sqrt(rho) x |m>)||^2 =
+tr(rho W^ W) with W = D (I x |m>), so small values keep their relative
+precision; a trace of D^2 on the composite state subtracts O(1) terms and
+loses them near s = 0 (disturbance) and s = 1 (error).
 """
 
 from __future__ import annotations
@@ -123,35 +128,50 @@ class IndirectMeasurement:
         meter_ket = qsim.ry(self.meter_init_angle) @ np.array([1.0, 0.0], dtype=complex)
         return DensityMatrix.product(system_state, DensityMatrix.from_ket(meter_ket))
 
-    def error(self, system_state: DensityMatrix) -> float:
-        """Root-mean-square error of the apparatus on the given input."""
+    def noise_operator(self) -> np.ndarray:
+        """U^ (I x M) U - A x I; its second moment on the composite is the squared error."""
         u = self.interaction
         heis = u.conj().T @ qsim.embed(self.meter_observable, [1], 2) @ u
-        noise_op = heis - qsim.embed(self.system_observable, [0], 2)
-        value = self.composite(system_state).expectation(noise_op @ noise_op)
-        return _clamped_sqrt(value)
+        return heis - qsim.embed(self.system_observable, [0], 2)
 
-    def disturbance(self, system_state: DensityMatrix, observable: np.ndarray) -> float:
-        """Root-mean-square disturbance the apparatus inflicts on ``observable``."""
+    def disturbance_operator(self, observable: np.ndarray) -> np.ndarray:
+        """U^ (B x I) U - B x I; its second moment is the squared disturbance of B."""
         observable = np.asarray(observable, dtype=complex)
         if np.max(np.abs(observable - observable.conj().T)) > ATOL:
             raise ValueError("observable is not Hermitian")
         u = self.interaction
         before = qsim.embed(observable, [0], 2)
-        after = u.conj().T @ before @ u
-        diff = after - before
-        value = self.composite(system_state).expectation(diff @ diff)
-        return _clamped_sqrt(value)
+        return u.conj().T @ before @ u - before
+
+
+# Only the meter ket depends on the strength, so the operators are built once.
+_Z_THROUGH_METER = IndirectMeasurement.z_through_meter(1.0)
+_Z_NOISE_OP = _Z_THROUGH_METER.noise_operator()
+_X_DISTURBANCE_OP = _Z_THROUGH_METER.disturbance_operator(X)
+
+
+def _rms(op: np.ndarray, system_state: DensityMatrix, strength: float) -> float:
+    """sqrt(<op^2>) on rho x |m><m|, as sqrt(tr(rho W^ W)) with W = op (I x |m>).
+
+    The strength-s meter ket m = ry(acos s)|0> is built from s directly.
+    """
+    if not 0.0 <= strength <= 1.0:
+        raise ValueError(f"strength {strength} outside [0, 1]")
+    if system_state.num_qubits != 1:
+        raise ValueError("system state must be a single qubit")
+    meter_ket = [[math.sqrt((1.0 + strength) / 2.0)], [math.sqrt((1.0 - strength) / 2.0)]]
+    w = op @ np.kron(I2, meter_ket)
+    return math.sqrt(max(float(np.trace(system_state.mat @ (w.conj().T @ w)).real), 0.0))
 
 
 def exact_error(system_state: DensityMatrix, strength: float) -> float:
     """Operator-definition error of the strength-s Z measurement."""
-    return IndirectMeasurement.z_through_meter(strength).error(system_state)
+    return _rms(_Z_NOISE_OP, system_state, strength)
 
 
 def exact_disturbance(system_state: DensityMatrix, strength: float) -> float:
     """Operator-definition disturbance of X under the strength-s Z measurement."""
-    return IndirectMeasurement.z_through_meter(strength).disturbance(system_state, X)
+    return _rms(_X_DISTURBANCE_OP, system_state, strength)
 
 
 def standard_deviation(state: DensityMatrix, obs: np.ndarray) -> float:

@@ -1,7 +1,8 @@
 """Fast internal consistency battery behind ``edrsim check``.
 
 Each check is independent, takes well under a second, and raises on
-failure; ``run_checks`` collects pass/fail results so the CLI can print
+failure; a check that measures a residual returns it as a short detail
+string.  ``run_checks`` collects pass/fail results so the CLI can print
 one line per check and exit nonzero if anything broke.
 """
 
@@ -15,10 +16,12 @@ import numpy as np
 from .bounds import EdrInputs, classify, effective_bound
 from .circuit import angle_for_strength, build_edr_circuit
 from .estimators import (
+    basis_probabilities,
     derive_seed,
     estimate_from_distribution,
     exact_joint_distributions,
     outcome_distribution,
+    readout_basis,
     sample_counts,
 )
 from .measurement import (
@@ -47,14 +50,28 @@ def _check_unitaries() -> None:
     assert np.array_equal(CNOT @ CNOT, np.eye(4))
 
 
-def _check_closed_forms() -> None:
+def _check_closed_forms() -> str:
     state = reference_input_state()
+    worst = 0.0
     for s in np.linspace(0.0, 1.0, 21):
-        eps = exact_error(state, s)
-        eta = exact_disturbance(state, s)
-        assert abs(eps - math.sqrt(2.0 * (1.0 - s))) < 1e-10, f"error at s={s}"
-        want_eta = math.sqrt(2.0 * (1.0 - math.sqrt(1.0 - s * s)))
-        assert abs(eta - want_eta) < 1e-10, f"disturbance at s={s}"
+        d_eps = abs(exact_error(state, s) - math.sqrt(2.0 * (1.0 - s)))
+        d_eta = abs(exact_disturbance(state, s) - math.sqrt(2.0 * (1.0 - math.sqrt(1.0 - s * s))))
+        assert d_eps < 1e-10, f"error at s={s}"
+        assert d_eta < 1e-10, f"disturbance at s={s}"
+        worst = max(worst, d_eps, d_eta)
+    return f"max |d| {worst:.2g}"
+
+
+def _check_sweep_basis() -> str:
+    theta_w = angle_for_strength(0.05)
+    model = compile_noise(representative_profile())
+    basis, _ = readout_basis(theta_w, model)
+    worst = 0.0
+    for s in np.linspace(0.0, 1.0, 11):
+        per_point = outcome_distribution(theta_w, angle_for_strength(s), model)
+        worst = max(worst, float(np.abs(basis_probabilities(basis, s) - per_point).max()))
+    assert worst <= 1e-12, f"max |dp| {worst:.3g}"
+    return f"max |dp| {worst:.2g}"
 
 
 def _check_meter_statistics() -> None:
@@ -124,9 +141,10 @@ def _check_representative_profile() -> None:
         assert np.abs(cols - 1.0).max() < 1e-12
 
 
-CHECKS: tuple[tuple[str, Callable[[], None]], ...] = (
+CHECKS: tuple[tuple[str, Callable[[], str | None]], ...] = (
     ("gate matrices are unitary", _check_unitaries),
     ("closed-form error and disturbance curves", _check_closed_forms),
+    ("sweep basis matches per-point evolution", _check_sweep_basis),
     ("meter statistics match the induced two-outcome model", _check_meter_statistics),
     ("weak-valued estimates track operator values", _check_weak_value_bias),
     ("strengthened relation saturates on the ideal curve", _check_ideal_saturation),
@@ -137,13 +155,13 @@ CHECKS: tuple[tuple[str, Callable[[], None]], ...] = (
 
 
 def run_checks() -> list[tuple[str, bool, str]]:
-    """(name, passed, detail) for every check; detail is empty on success."""
+    """(name, passed, detail) for every check; on success, detail is the residual or empty."""
     results = []
     for name, check in CHECKS:
         try:
-            check()
+            detail = check()
         except Exception as exc:  # report, never crash the battery
             results.append((name, False, f"{type(exc).__name__}: {exc}"))
         else:
-            results.append((name, True, ""))
+            results.append((name, True, detail or ""))
     return results

@@ -25,8 +25,16 @@ from typing import Sequence
 import numpy as np
 
 from . import bounds as edr_bounds
-from .circuit import METER, SYSTEM, angle_for_strength, build_edr_circuit
-from .estimators import derive_seed, outcome_distribution, sample_counts, weak_valued_squares
+from .circuit import SYSTEM, angle_for_strength, build_edr_circuit
+from .estimators import (
+    basis_probabilities,
+    derive_seed,
+    readout_basis,
+    run_circuit,
+    sample_counts,
+    split_at_meter,
+    weak_valued_squares,
+)
 from .measurement import exact_disturbance, exact_error, reference_input_state, standard_deviation
 from .noise import CalibrationProfile, NoiseModel, compile_noise
 from .qsim import DensityMatrix, X, Z
@@ -111,19 +119,8 @@ CSV_COLUMNS = tuple(f.name for f in SweepResultRow.__dataclass_fields__.values()
 
 def post_probe_system_state(theta_w: float, noise: NoiseModel | None = None) -> DensityMatrix:
     """Reduced system state after both weak probes, before the main measurement."""
-    circuit = build_edr_circuit(theta_w, angle_for_strength(0.0))
-    prefix = []
-    for op in circuit.ops:
-        if METER in op.qubits:
-            break
-        prefix.append(op)
-    state = DensityMatrix.ground(circuit.num_qubits)
-    for op in prefix:
-        state = state.apply_unitary(op.matrix(), op.qubits)
-        if noise is not None:
-            for channel, targets in noise.channels_after(op, circuit.num_qubits):
-                state = state.apply_channel(channel, targets)
-    return state.partial_trace([SYSTEM])
+    prefix, _ = split_at_meter(build_edr_circuit(theta_w, 0.0))
+    return run_circuit(prefix, noise).partial_trace([SYSTEM])
 
 
 def _rms(values: Sequence[float], center: float) -> float:
@@ -218,7 +215,7 @@ class _SweepConstants:
     """Everything a point needs that does not depend on its strength."""
 
     theta_w: float
-    model: NoiseModel | None
+    basis: np.ndarray
     probe_state: DensityMatrix
     sigmas: tuple[float, float]
     c: float
@@ -231,13 +228,14 @@ def _sweep_constants(cfg: SweepConfig) -> _SweepConstants:
         if cfg.noise_profile is not None
         else None
     )
+    basis, prefix_state = readout_basis(theta_w, model)
     probe_state = post_probe_system_state(theta_w)
     if cfg.sigma_source == "ideal":
         sigma_state = reference_input_state()
     else:
-        sigma_state = post_probe_system_state(theta_w, model)
+        sigma_state = prefix_state.partial_trace([SYSTEM])
     sigmas = (standard_deviation(sigma_state, Z), standard_deviation(sigma_state, X))
-    return _SweepConstants(theta_w, model, probe_state, sigmas, edr_bounds.effective_bound(theta_w))
+    return _SweepConstants(theta_w, basis, probe_state, sigmas, edr_bounds.effective_bound(theta_w))
 
 
 def _repeat_squares(
@@ -259,7 +257,7 @@ def _point_rows(
         exact_error(consts.probe_state, strength),
         exact_disturbance(consts.probe_state, strength),
     )
-    probs = outcome_distribution(consts.theta_w, angle_for_strength(strength), consts.model)
+    probs = basis_probabilities(consts.basis, strength)
     rows = []
     if cfg.mode in ("exact", "both"):
         squares = weak_valued_squares(probs, consts.theta_w)

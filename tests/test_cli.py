@@ -138,6 +138,9 @@ def test_check_subcommand_passes():
     lines = result.stdout.strip().splitlines()
     assert lines[-1].startswith("all ")
     assert all(line.startswith("ok") for line in lines[:-1])
+    for name in ("closed-form error and disturbance", "sweep basis matches per-point"):
+        (line,) = [line for line in lines if name in line]
+        assert line.endswith(")") and "(max |d" in line
 
 
 def test_sweep_zero_probe_strength_is_usage_error():

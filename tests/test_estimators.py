@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -11,18 +11,53 @@ from edrsim.circuit import angle_for_strength, build_edr_circuit
 from edrsim.estimators import (
     JointDistribution,
     _pair_marginal,
+    basis_probabilities,
     derive_seed,
     estimate_from_distribution,
     exact_joint_distributions,
     outcome_distribution,
+    readout_basis,
     run_circuit,
     sample_counts,
     weak_valued_rms,
     weak_valued_squares,
     weak_valued_table,
 )
+from edrsim.noise import compile_noise, representative_profile
 
 THETA_W = angle_for_strength(0.05)
+
+NOISE_MODELS = {
+    "ideal": None,
+    "representative": compile_noise(representative_profile()),
+    "no_idle": compile_noise(representative_profile(), include_idle=False),
+}
+PROBE_STRENGTHS = (0.05, 0.7)
+
+
+@pytest.fixture(scope="module")
+def bases():
+    out = {}
+    for name, model in NOISE_MODELS.items():
+        for probe in PROBE_STRENGTHS:
+            out[name, probe], _ = readout_basis(angle_for_strength(probe), model)
+    return out
+
+
+@pytest.mark.parametrize("probe", PROBE_STRENGTHS)
+@pytest.mark.parametrize("model_name", sorted(NOISE_MODELS))
+@settings(max_examples=8, deadline=None)
+@given(strength=st.floats(0.0, 1.0))
+@example(strength=0.0)
+@example(strength=2**-23)
+@example(strength=0.5)
+@example(strength=1.0)
+def test_readout_basis_matches_per_point_evolution(bases, model_name, probe, strength):
+    got = basis_probabilities(bases[model_name, probe], strength)
+    want = outcome_distribution(
+        angle_for_strength(probe), angle_for_strength(strength), NOISE_MODELS[model_name]
+    )
+    assert np.abs(got - want).max() <= 1e-12
 
 
 def test_outcome_distribution_matches_independent_simulation():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -116,6 +116,7 @@ def test_closed_form_curves():
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+@example(seed=0, strength=2**-23)
 def test_error_and_disturbance_are_state_independent(seed, strength):
     rng = np.random.default_rng(seed)
     state = DensityMatrix(1, helpers.rand_density(rng))
@@ -138,12 +139,11 @@ def test_error_disturbance_crossing_point():
 
 
 def test_measuring_z_does_not_disturb_z():
-    rng = np.random.default_rng(3)
+    # the disturbance operator of Z vanishes, so <D^2> is 0 on every state and strength
     for s in (0.1, 0.6, 1.0):
         meas = IndirectMeasurement.z_through_meter(s)
-        for _ in range(3):
-            state = DensityMatrix(1, helpers.rand_density(rng))
-            assert meas.disturbance(state, Z) < 1e-12
+        assert np.abs(meas.disturbance_operator(Z)).max() < 1e-12
+        assert np.abs(meas.disturbance_operator(X)).max() > 0.5
 
 
 def test_projective_limit():

@@ -7,9 +7,9 @@ import pytest
 from edrsim.bounds import effective_bound
 from edrsim.circuit import angle_for_strength
 from edrsim.estimators import estimate_from_distribution, exact_joint_distributions
-from edrsim.measurement import reference_input_state
+from edrsim.measurement import reference_input_state, standard_deviation
 from edrsim.noise import compile_noise, representative_profile
-from edrsim.qsim import X, Z
+from edrsim.qsim import DensityMatrix, X, Z
 from edrsim.sweep import (
     CSV_COLUMNS,
     SweepConfig,
@@ -175,6 +175,32 @@ def test_sigma_source_simulated():
     for row in rows:
         assert 0.9 < row.sigma_a <= 1.0 + 1e-12
         assert 0.9 < row.sigma_b <= 1.0 + 1e-12
+    profile = representative_profile()
+    rows = run_sweep(small_config(sigma_source="simulated", noise_profile=profile))
+    noisy = post_probe_system_state(angle_for_strength(0.05), compile_noise(profile))
+    for row in rows:
+        assert row.sigma_a == standard_deviation(noisy, Z)
+        assert row.sigma_b == standard_deviation(noisy, X)
+
+
+def test_evolution_count_does_not_scale_with_grid(monkeypatch):
+    calls = []
+    original = DensityMatrix.apply_unitary
+
+    def counting(self, u, targets):
+        calls.append(targets)
+        return original(self, u, targets)
+
+    monkeypatch.setattr(DensityMatrix, "apply_unitary", counting)
+    counts = []
+    for points in (11, 201):
+        calls.clear()
+        cfg = small_config(
+            strengths=default_strength_grid(points), noise_profile=representative_profile()
+        )
+        assert len(run_sweep(cfg)) == points
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_noisy_sweep_keeps_valid_flags():
