@@ -131,8 +131,8 @@ class IndirectMeasurement:
     def noise_operator(self) -> np.ndarray:
         """U^ (I x M) U - A x I; its second moment on the composite is the squared error."""
         u = self.interaction
-        heis = u.conj().T @ qsim.embed(self.meter_observable, [1], 2) @ u
-        return heis - qsim.embed(self.system_observable, [0], 2)
+        heis = u.conj().T @ np.kron(I2, self.meter_observable) @ u
+        return heis - np.kron(self.system_observable, I2)
 
     def disturbance_operator(self, observable: np.ndarray) -> np.ndarray:
         """U^ (B x I) U - B x I; its second moment is the squared disturbance of B."""
@@ -140,7 +140,7 @@ class IndirectMeasurement:
         if np.max(np.abs(observable - observable.conj().T)) > ATOL:
             raise ValueError("observable is not Hermitian")
         u = self.interaction
-        before = qsim.embed(observable, [0], 2)
+        before = np.kron(observable, I2)
         return u.conj().T @ before @ u - before
 
 
@@ -153,14 +153,15 @@ _X_DISTURBANCE_OP = _Z_THROUGH_METER.disturbance_operator(X)
 def _rms(op: np.ndarray, system_state: DensityMatrix, strength: float) -> float:
     """sqrt(<op^2>) on rho x |m><m|, as sqrt(tr(rho W^ W)) with W = op (I x |m>).
 
-    The strength-s meter ket m = ry(acos s)|0> is built from s directly.
+    The strength-s meter ket m = ry(acos s)|0> is built from s directly, and
+    W is m0 times the even columns of op plus m1 times its odd columns.
     """
     if not 0.0 <= strength <= 1.0:
         raise ValueError(f"strength {strength} outside [0, 1]")
     if system_state.num_qubits != 1:
         raise ValueError("system state must be a single qubit")
-    meter_ket = [[math.sqrt((1.0 + strength) / 2.0)], [math.sqrt((1.0 - strength) / 2.0)]]
-    w = op @ np.kron(I2, meter_ket)
+    m0, m1 = math.sqrt((1.0 + strength) / 2.0), math.sqrt((1.0 - strength) / 2.0)
+    w = m0 * op[:, 0::2] + m1 * op[:, 1::2]
     return math.sqrt(max(float(np.trace(system_state.mat @ (w.conj().T @ w)).real), 0.0))
 
 

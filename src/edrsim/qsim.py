@@ -16,8 +16,8 @@ validate` because it is the one check that costs a full diagonalisation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -62,25 +62,6 @@ def kron(*matrices: np.ndarray) -> np.ndarray:
     return out
 
 
-def embed(op: np.ndarray, targets: Sequence[int], num_qubits: int) -> np.ndarray:
-    """Expand ``op`` acting on ``targets`` (in the given order) to the full register."""
-    op = np.asarray(op, dtype=complex)
-    targets = tuple(targets)
-    _check_targets(targets, num_qubits)
-    k = len(targets)
-    if op.shape != (2**k, 2**k):
-        raise ValueError(f"operator shape {op.shape} does not match {k} target qubit(s)")
-    n = num_qubits
-    rest = [q for q in range(n) if q not in targets]
-    big = np.kron(op, np.eye(2 ** (n - k), dtype=complex))
-    # axis a of the reshaped tensor currently carries qubit (targets + rest)[a]
-    src = list(targets) + rest
-    pos = {q: a for a, q in enumerate(src)}
-    perm = [pos[q] for q in range(n)]
-    t = big.reshape((2,) * (2 * n)).transpose(perm + [n + p for p in perm])
-    return np.ascontiguousarray(t.reshape(2**n, 2**n))
-
-
 def _check_targets(targets: tuple[int, ...], num_qubits: int) -> None:
     if not targets:
         raise ValueError("no target qubits given")
@@ -106,15 +87,22 @@ def _require_hermitian(m: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} is not Hermitian (deviation {dev:.3e})")
 
 
+def _superoperator(ops: np.ndarray) -> np.ndarray:
+    """sum K x conj(K) over a (m, d, d) stack: S[(i, j), (a, b)] = sum_K K[i, a] conj(K[j, b])."""
+    d = ops.shape[-1]
+    return np.einsum("kia,kjb->ijab", ops, ops.conj()).reshape(d * d, d * d)
+
+
 @dataclass(frozen=True)
 class KrausChannel:
     """A completely positive trace-preserving map given by Kraus operators.
 
     Completeness (sum of K^dagger K equal to the identity within ``ATOL``)
-    is checked on construction.
+    is checked, and the superoperator sum K x conj(K) built, on construction.
     """
 
     operators: tuple[np.ndarray, ...]
+    superop: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.operators:
@@ -129,6 +117,7 @@ class KrausChannel:
         dev = np.max(np.abs(total - np.eye(dim)))
         if dev > ATOL:
             raise ValueError(f"Kraus operators are not complete (deviation {dev:.3e})")
+        object.__setattr__(self, "superop", _superoperator(np.array(ops)))
 
     @property
     def dim(self) -> int:
@@ -188,16 +177,25 @@ class DensityMatrix:
         """Conjugate by a unitary acting on ``targets`` (order defines the wiring)."""
         u = np.asarray(u, dtype=complex)
         _require_unitary(u)
-        full = embed(u, targets, self.num_qubits)
-        return DensityMatrix(self.num_qubits, full @ self.mat @ full.conj().T)
+        return self._evolve(_superoperator(u[None]), targets)
 
     def apply_channel(self, channel: KrausChannel, targets: Sequence[int]) -> "DensityMatrix":
         """Apply a Kraus channel on ``targets``; the trace is preserved by completeness."""
-        out = np.zeros_like(self.mat)
-        for k in channel.operators:
-            full = embed(k, targets, self.num_qubits)
-            out += full @ self.mat @ full.conj().T
-        return DensityMatrix(self.num_qubits, out)
+        return self._evolve(channel.superop, targets)
+
+    def _evolve(self, superop: np.ndarray, targets: Sequence[int]) -> "DensityMatrix":
+        """rho -> S(rho): S multiplies the target (row, column) axes of rho, moved to the front."""
+        targets, n = tuple(targets), self.num_qubits
+        _check_targets(targets, n)
+        k = len(targets)
+        if superop.shape != (4**k, 4**k):
+            raise ValueError(f"superoperator {superop.shape} does not act on {k} target qubit(s)")
+        front = targets + tuple(n + q for q in targets)
+        order = front + tuple(a for a in range(2 * n) if a not in front)
+        back = sorted(range(2 * n), key=order.__getitem__)
+        t = self.mat.reshape((2,) * (2 * n)).transpose(order)
+        out = (superop @ t.reshape(4**k, -1)).reshape(t.shape).transpose(back)
+        return DensityMatrix(n, out.reshape(2**n, 2**n))
 
     def partial_trace(self, keep: Sequence[int]) -> "DensityMatrix":
         """Reduced state over ``keep``, ordered as listed."""

@@ -49,6 +49,61 @@ def rand_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def oracle_apply_kraus(
+    rho: np.ndarray, ops: list[np.ndarray], targets: list[int], num_qubits: int
+) -> np.ndarray:
+    """sum K_full rho K_full^dagger, each K widened to the register by literal kron.
+
+    K_full = P^T (K x I) P, where the permutation matrix P sends register basis
+    state i to the state whose bits, most significant first, are i's bits on
+    ``targets`` (in that order) followed by its bits on the remaining qubits.
+    """
+    n = num_qubits
+    order = list(targets) + [q for q in range(n) if q not in targets]
+    dim = 2**n
+    perm = np.zeros((dim, dim))
+    for i in range(dim):
+        bits = [(i >> (n - 1 - q)) & 1 for q in range(n)]
+        j = 0
+        for q in order:
+            j = (j << 1) | bits[q]
+        perm[j, i] = 1.0
+    rest = np.eye(2 ** (n - len(targets)), dtype=complex)
+    out = np.zeros((dim, dim), dtype=complex)
+    for k in ops:
+        full = perm.T @ np.kron(k, rest) @ perm
+        out += full @ rho @ full.conj().T
+    return out
+
+
+def oracle_noisy_outcome_distribution(circuit, noise) -> np.ndarray:
+    """Readout probabilities of ``circuit`` under ``noise`` from literal 2**n x 2**n algebra.
+
+    The gates and the channels that follow each gate come from the circuit and
+    from ``noise.channels_after``; every application goes through
+    ``oracle_apply_kraus``, and readout confusion is the kron of the measured
+    qubits' confusion matrices acting on the measured-bit distribution.
+    """
+    n = circuit.num_qubits
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    rho[0, 0] = 1.0
+    for op in circuit.ops:
+        rho = oracle_apply_kraus(rho, [op.matrix()], list(op.qubits), n)
+        for channel, targets in noise.channels_after(op, n):
+            rho = oracle_apply_kraus(rho, list(channel.operators), list(targets), n)
+    measured = list(circuit.measured_qubits)
+    probs = np.zeros(2 ** len(measured))
+    for index in range(2**n):
+        packed = 0
+        for q in measured:
+            packed = (packed << 1) | ((index >> (n - 1 - q)) & 1)
+        probs[packed] += rho[index, index].real
+    confusion = np.ones((1, 1))
+    for q in measured:
+        confusion = np.kron(confusion, noise.confusion[q])
+    return confusion @ probs
+
+
 def _meter_extension(rho: np.ndarray, strength: float) -> np.ndarray:
     meter = ry_mat(math.acos(strength)) @ np.array([1.0, 0.0], dtype=complex)
     return np.kron(rho, np.outer(meter, meter.conj()))

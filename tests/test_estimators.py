@@ -70,6 +70,16 @@ def test_outcome_distribution_matches_independent_simulation():
         assert np.all(got >= -1e-15)
 
 
+@pytest.mark.parametrize("strength", (0.0, 0.3, 1.0))
+@pytest.mark.parametrize("model_name", ("representative", "no_idle"))
+def test_noisy_outcome_distribution_matches_literal_oracle(model_name, strength):
+    model = NOISE_MODELS[model_name]
+    theta = angle_for_strength(strength)
+    got = outcome_distribution(THETA_W, theta, model)
+    want = helpers.oracle_noisy_outcome_distribution(build_edr_circuit(THETA_W, theta), model)
+    assert np.abs(got - want).max() <= 1e-12
+
+
 def test_correlator_closed_forms():
     # <z_i z_f> = cos(theta_w) sin(theta_w) cos(theta); <x_i x_f> = cos(theta_w) sin(theta)
     for s in np.linspace(0.0, 1.0, 11):

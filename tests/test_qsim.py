@@ -16,11 +16,13 @@ from edrsim.qsim import (
     X,
     Y,
     Z,
-    embed,
     kron,
     rx,
     ry,
 )
+from edrsim.noise import depolarizing_channel, thermal_relaxation_channel
+
+KINDS = ("unitary", "dilation", "depolarizing", "relaxation")
 
 
 def test_rotation_matrices_literal():
@@ -39,34 +41,52 @@ def test_kron_associativity_exact():
     assert np.array_equal(kron(a, b, c), kron(a, kron(b, c)))
 
 
-def test_embed_matches_literal_kron():
-    assert np.array_equal(embed(X, [0], 2), np.kron(X, I2))
-    assert np.array_equal(embed(X, [1], 2), np.kron(I2, X))
-    assert np.array_equal(embed(Z, [1], 3), np.kron(np.kron(I2, Z), I2))
-    assert np.array_equal(embed(CNOT, [0, 1], 2), CNOT)
+def test_apply_unitary_matches_literal_kron():
+    rng = np.random.default_rng(7)
+    for n, u, targets, full in (
+        (2, X, [0], np.kron(X, I2)),
+        (2, X, [1], np.kron(I2, X)),
+        (3, Z, [1], np.kron(np.kron(I2, Z), I2)),
+        (2, CNOT, [0, 1], CNOT),
+    ):
+        rho = helpers.rand_density(rng, 2**n)
+        got = DensityMatrix(n, rho).apply_unitary(u, targets).mat
+        assert np.abs(got - full @ rho @ full.conj().T).max() < 1e-15
 
 
-def test_embed_respects_target_order():
+def test_apply_unitary_respects_target_order():
     # control on qubit 2, target on qubit 0, checked against bit arithmetic
-    got = embed(CNOT, [2, 0], 3)
     for basis in range(8):
+        ket = np.zeros(8)
+        ket[basis] = 1.0
+        got = DensityMatrix.from_ket(ket).apply_unitary(CNOT, [2, 0]).mat
         bits = [(basis >> (2 - q)) & 1 for q in range(3)]
         out = bits.copy()
         if bits[2] == 1:
             out[0] ^= 1
         want_index = (out[0] << 2) | (out[1] << 1) | out[2]
-        column = got[:, basis]
-        assert column[want_index] == 1.0
-        assert np.count_nonzero(column) == 1
+        assert got[want_index, want_index] == 1.0
+        assert np.count_nonzero(got) == 1
 
 
-def test_embed_rejects_bad_targets():
+def test_evolution_rejects_bad_targets():
+    state = DensityMatrix.ground(2)
+    flip = KrausChannel((X,))
+    cnot = KrausChannel((CNOT,))
     with pytest.raises(ValueError):
-        embed(X, [2], 2)
+        state.apply_unitary(X, [2])
     with pytest.raises(ValueError):
-        embed(CNOT, [0, 0], 2)
+        state.apply_channel(flip, [2])
     with pytest.raises(ValueError):
-        embed(CNOT, [0], 2)
+        state.apply_unitary(CNOT, [0, 0])
+    with pytest.raises(ValueError):
+        state.apply_channel(cnot, [0, 0])
+    with pytest.raises(ValueError):
+        state.apply_unitary(CNOT, [0])
+    with pytest.raises(ValueError):
+        state.apply_channel(cnot, [0])
+    with pytest.raises(ValueError):
+        state.apply_channel(flip, [])
 
 
 def test_ground_and_from_ket():
@@ -197,6 +217,55 @@ def test_partial_trace_matches_embedded_expectation(seed):
     rng = np.random.default_rng(seed)
     state = DensityMatrix(3, helpers.rand_density(rng, 8))
     qubit = int(rng.integers(0, 3))
-    direct = state.expectation(embed(Z, [qubit], 3))
+    factors = [I2, I2, I2]
+    factors[qubit] = Z
+    direct = state.expectation(np.kron(np.kron(factors[0], factors[1]), factors[2]))
     reduced = state.partial_trace([qubit]).expectation(Z)
     assert abs(direct - reduced) < 1e-10
+
+
+def _kraus_operators(kind, k, rng):
+    if kind == "unitary":
+        return [helpers.rand_unitary(rng, 2**k)]
+    if kind == "dilation":
+        # random channel from a unitary on (targets, one environment qubit)
+        big = helpers.rand_unitary(rng, 2 ** (k + 1))
+        return [big[i * 2**k:(i + 1) * 2**k, 0:2**k] for i in range(2)]
+    if kind == "depolarizing":
+        return list(depolarizing_channel(float(rng.uniform(1e-4, 0.7)), k).operators)
+    # thermal relaxation on each target, over a CNOT-length gate
+    t1 = float(rng.uniform(5.0, 100.0))
+    ops = [np.eye(1)]
+    for _ in range(k):
+        relax = thermal_relaxation_channel(t1, float(rng.uniform(0.1, 2.0)) * t1, 300.0)
+        ops = [np.kron(a, b) for a in ops for b in relax.operators]
+    return ops
+
+
+def _check_evolution_against_oracle(n, targets, kind, seed):
+    rng = np.random.default_rng(seed)
+    rho = helpers.rand_density(rng, 2**n)
+    ops = _kraus_operators(kind, len(targets), rng)
+    state = DensityMatrix(n, rho)
+    if kind == "unitary":
+        got = state.apply_unitary(ops[0], targets)
+    else:
+        got = state.apply_channel(KrausChannel(tuple(ops)), targets)
+    want = helpers.oracle_apply_kraus(rho, ops, list(targets), n)
+    assert np.abs(got.mat - want).max() <= 1e-12
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_evolution_matches_literal_kraus_oracle(data):
+    n = data.draw(st.integers(1, 4), label="num_qubits")
+    k = data.draw(st.integers(1, min(2, n)), label="num_targets")
+    targets = data.draw(st.permutations(range(n)), label="order")[:k]
+    kind = data.draw(st.sampled_from(KINDS), label="kind")
+    _check_evolution_against_oracle(n, targets, kind, data.draw(st.integers(0, 2**32 - 1)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n, targets", [(3, [2, 0]), (4, [3, 1]), (4, [0, 3]), (4, [2]), (1, [0])])
+def test_evolution_matches_oracle_on_reversed_and_gapped_targets(n, targets, kind):
+    _check_evolution_against_oracle(n, targets, kind, seed=n * 31 + targets[0])
