@@ -8,146 +8,37 @@ of measurement error and disturbance, which are then tested against
 four uncertainty trade-off relations.
 """
 
-from .bounds import (
-    BOUND_NAMES,
-    EdrInputs,
-    EdrReport,
-    branciard_lhs,
-    classify,
-    effective_bound,
-    heisenberg_lhs,
-    ozawa_lhs,
-    strong_branciard_lhs,
-    tilde,
-)
-from .circuit import (
-    Circuit,
-    CouplingMap,
-    DEVICE_COUPLING,
-    DEVICE_LAYOUT,
-    GateOp,
-    METER,
-    PROBE_X,
-    PROBE_Z,
-    SYSTEM,
-    angle_for_strength,
-    build_edr_circuit,
-    export_qasm,
-    strength_for_angle,
-    validate_against_coupling,
-)
+from .bounds import EdrInputs, classify
+from .circuit import build_edr_circuit
 from .estimators import (
-    ErrDistEstimate,
-    JointDistribution,
-    derive_seed,
-    estimate_from_distribution,
-    exact_joint_distributions,
+    basis_probabilities,
     outcome_distribution,
-    run_circuit,
+    readout_basis,
     sample_counts,
-    weak_valued_rms,
     weak_valued_squares,
-    weak_valued_table,
 )
-from .measurement import (
-    IndirectMeasurement,
-    PovmPair,
-    build_povm,
-    commutator_bound,
-    exact_disturbance,
-    exact_error,
-    reference_input_state,
-    standard_deviation,
-)
-from .noise import (
-    CalibrationProfile,
-    NoiseModel,
-    QubitCalibration,
-    compile_noise,
-    depolarizing_channel,
-    dump_profile,
-    load_profile,
-    parse_profile,
-    representative_profile,
-    thermal_relaxation_channel,
-)
-from .qsim import DensityMatrix, KrausChannel, kron, rx, ry
-from .sweep import (
-    SweepConfig,
-    SweepResultRow,
-    default_strength_grid,
-    emit_csv,
-    emit_json,
-    post_probe_system_state,
-    run_sweep,
-)
+from .measurement import exact_disturbance, exact_error
+from .noise import compile_noise, representative_profile
+from .sweep import SweepConfig, default_strength_grid, emit_csv, emit_json, run_sweep
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BOUND_NAMES",
-    "CalibrationProfile",
-    "Circuit",
-    "CouplingMap",
-    "DEVICE_COUPLING",
-    "DEVICE_LAYOUT",
-    "DensityMatrix",
     "EdrInputs",
-    "EdrReport",
-    "ErrDistEstimate",
-    "GateOp",
-    "IndirectMeasurement",
-    "JointDistribution",
-    "KrausChannel",
-    "METER",
-    "NoiseModel",
-    "PROBE_X",
-    "PROBE_Z",
-    "PovmPair",
-    "QubitCalibration",
-    "SYSTEM",
     "SweepConfig",
-    "SweepResultRow",
-    "angle_for_strength",
-    "branciard_lhs",
+    "basis_probabilities",
     "build_edr_circuit",
-    "build_povm",
     "classify",
-    "commutator_bound",
     "compile_noise",
     "default_strength_grid",
-    "depolarizing_channel",
-    "derive_seed",
-    "dump_profile",
-    "effective_bound",
     "emit_csv",
     "emit_json",
-    "estimate_from_distribution",
     "exact_disturbance",
     "exact_error",
-    "exact_joint_distributions",
-    "export_qasm",
-    "heisenberg_lhs",
-    "kron",
-    "load_profile",
     "outcome_distribution",
-    "ozawa_lhs",
-    "parse_profile",
-    "post_probe_system_state",
-    "reference_input_state",
+    "readout_basis",
     "representative_profile",
-    "run_circuit",
     "run_sweep",
-    "rx",
-    "ry",
     "sample_counts",
-    "standard_deviation",
-    "strength_for_angle",
-    "strong_branciard_lhs",
-    "thermal_relaxation_channel",
-    "tilde",
-    "validate_against_coupling",
-    "weak_valued_rms",
     "weak_valued_squares",
-    "weak_valued_table",
 ]

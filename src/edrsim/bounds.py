@@ -95,23 +95,12 @@ class EdrReport:
     branciard_lhs: float
     strong_branciard_lhs: float
     satisfied: dict[str, bool]
-    strength: float | None = None
-    method: str = "exact"
-    shots: int | None = None
-    repeats: int | None = None
 
     def lhs(self, name: str) -> float:
         return getattr(self, f"{name}_lhs")
 
 
-def classify(
-    inputs: EdrInputs,
-    *,
-    strength: float | None = None,
-    method: str = "exact",
-    shots: int | None = None,
-    repeats: int | None = None,
-) -> EdrReport:
+def classify(inputs: EdrInputs) -> EdrReport:
     """Evaluate all four relations and flag each against c - 1e-9."""
     values = {
         "heisenberg": heisenberg_lhs(inputs),
@@ -127,8 +116,4 @@ def classify(
         branciard_lhs=values["branciard"],
         strong_branciard_lhs=values["strong_branciard"],
         satisfied=satisfied,
-        strength=strength,
-        method=method,
-        shots=shots,
-        repeats=repeats,
     )

@@ -11,12 +11,11 @@ with E the measured correlator; the weak-valued root-mean-square spread
     sum (a_i - a_f)^2 P_wv(a_i, a_f) = 2 (1 - E / cos(theta_w))
 
 then estimates the squared error (z records) or squared disturbance
-(x records) of the main measurement.  The sweep evaluates this directly on
-the 16-outcome probabilities or on sampled counts (``weak_valued_squares``);
-the pair-marginal path (``JointDistribution``, ``estimate_from_distribution``)
-is the slower reference it is checked against.  Squared estimates can go slightly
-negative under sampling noise; they are reported raw alongside estimates
-clamped at zero before the square root.
+(x records) of the main measurement.  ``weak_valued_squares`` evaluates it
+with the fixed sign vectors ``CORRELATOR_SIGNS`` on the 16-outcome
+probabilities or on sampled counts; it is the package's one estimator.
+Squared estimates can go slightly negative under sampling noise; they are
+reported raw alongside estimates clamped at zero before the square root.
 
 A sweep evolves the circuit once (``readout_basis``), not once per strength
 (``outcome_distribution``, kept as the per-point reference): the readout
@@ -26,42 +25,13 @@ distribution is affine in (1, cos theta, sin theta) of the meter angle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .circuit import METER, Circuit, build_edr_circuit
 from .noise import NoiseModel, apply_readout_confusion
 from .qsim import DensityMatrix
-
-OUTCOMES = (1, -1)  # bit 0 reads +1, bit 1 reads -1
-
-
-@dataclass(frozen=True)
-class JointDistribution:
-    """Joint probabilities of two +/-1 outcomes, keyed (early, late)."""
-
-    labels: tuple[str, str]
-    probs: dict[tuple[int, int], float]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(self.labels))
-        expected = {(a, b) for a in OUTCOMES for b in OUTCOMES}
-        if set(self.probs) != expected:
-            raise ValueError(f"outcome keys must be {sorted(expected)}")
-        cleaned = {}
-        for key, p in self.probs.items():
-            if p < -1e-12:
-                raise ValueError(f"negative probability {p} at {key}")
-            cleaned[key] = max(float(p), 0.0)
-        total = sum(cleaned.values())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        object.__setattr__(self, "probs", cleaned)
-
-    def correlator(self) -> float:
-        """E[a_i * a_f] under this distribution."""
-        return sum(a * b * p for (a, b), p in self.probs.items())
 
 
 def run_circuit(
@@ -130,30 +100,6 @@ def basis_probabilities(basis: np.ndarray, strength: float) -> np.ndarray:
     return np.array([1.0, strength, math.sqrt((1.0 - strength) * (1.0 + strength))]) @ basis
 
 
-def _pair_marginal(
-    probs: np.ndarray, pos_early: int, pos_late: int, labels: tuple[str, str]
-) -> JointDistribution:
-    table = np.asarray(probs, dtype=float).reshape((2, 2, 2, 2))
-    other = tuple(a for a in range(4) if a not in (pos_early, pos_late))
-    pair = table.sum(axis=other)
-    if pos_early > pos_late:
-        pair = pair.T
-    out = {
-        (OUTCOMES[i], OUTCOMES[j]): float(pair[i, j]) for i in range(2) for j in range(2)
-    }
-    return JointDistribution(labels, out)
-
-
-def exact_joint_distributions(
-    theta_w: float, theta: float, noise: NoiseModel | None = None
-) -> tuple[JointDistribution, JointDistribution]:
-    """The (z_i, z_f) and (x_i, x_f) marginals of the full outcome distribution."""
-    probs = outcome_distribution(theta_w, theta, noise)
-    dist_z = _pair_marginal(probs, 0, 2, ("z_i", "z_f"))
-    dist_x = _pair_marginal(probs, 1, 3, ("x_i", "x_f"))
-    return dist_z, dist_x
-
-
 def derive_seed(base_seed: int, *indices: int) -> int:
     """Deterministic per-task seed from a base seed and position indices."""
     ss = np.random.SeedSequence([int(base_seed), *[int(i) for i in indices]])
@@ -199,65 +145,3 @@ def weak_valued_squares(
     if cw < 1e-12:  # the 1/cos normalisation is meaningless at zero strength
         raise ValueError(f"probe strength cos(theta_w) = {cw} is too small to invert")
     return 2.0 * (1.0 - np.asarray(weights) @ CORRELATOR_SIGNS / total / cw)
-
-
-@dataclass(frozen=True)
-class ErrDistEstimate:
-    """Weak-valued estimates; *_sq carry the raw, possibly negative squares."""
-
-    epsilon: float
-    eta: float
-    epsilon_sq: float
-    eta_sq: float
-    method: str
-    shots: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.method not in ("exact", "sampled"):
-            raise ValueError(f"method must be 'exact' or 'sampled', got {self.method!r}")
-
-
-def estimate_from_distribution(
-    dist_z: JointDistribution,
-    dist_x: JointDistribution,
-    theta_w: float,
-    *,
-    method: str = "exact",
-    shots: int | None = None,
-) -> ErrDistEstimate:
-    """Error/disturbance estimates from the two pair marginals at probe angle theta_w."""
-    cw = math.cos(theta_w)
-    if cw < 1e-12:  # the 1/cos normalisation is meaningless at zero strength
-        raise ValueError(f"probe strength cos(theta_w) = {cw} is too small to invert")
-    eps_sq = 2.0 * (1.0 - dist_z.correlator() / cw)
-    eta_sq = 2.0 * (1.0 - dist_x.correlator() / cw)
-    return ErrDistEstimate(
-        epsilon=math.sqrt(max(eps_sq, 0.0)),
-        eta=math.sqrt(max(eta_sq, 0.0)),
-        epsilon_sq=eps_sq,
-        eta_sq=eta_sq,
-        method=method,
-        shots=shots,
-    )
-
-
-def weak_valued_table(
-    dist: JointDistribution, strength: float
-) -> dict[tuple[int, int], float]:
-    """Reconstructed weak-valued joint probabilities; sums to 1 by construction.
-
-    Individual entries may be negative; that is a feature of weak values,
-    not an error.
-    """
-    if strength <= 0.0:
-        raise ValueError(f"probe strength {strength} must be positive")
-    corr = dist.correlator()
-    return {
-        (a, b): (1.0 + a * b * corr / strength) / 4.0 for a in OUTCOMES for b in OUTCOMES
-    }
-
-
-def weak_valued_rms(dist: JointDistribution, strength: float) -> float:
-    """Weak-valued root-mean-square spread sum (a_i - a_f)^2 P_wv, reported squared."""
-    table = weak_valued_table(dist, strength)
-    return sum((a - b) ** 2 * p for (a, b), p in table.items())

@@ -18,11 +18,10 @@ from .circuit import angle_for_strength, build_edr_circuit
 from .estimators import (
     basis_probabilities,
     derive_seed,
-    estimate_from_distribution,
-    exact_joint_distributions,
     outcome_distribution,
     readout_basis,
     sample_counts,
+    weak_valued_squares,
 )
 from .measurement import (
     IndirectMeasurement,
@@ -92,11 +91,12 @@ def _check_weak_value_bias() -> None:
     budget = 2.0 * (1.0 - math.sin(theta_w)) + 1e-9
     state = reference_input_state()
     for s in np.linspace(0.0, 1.0, 11):
-        dist_z, dist_x = exact_joint_distributions(theta_w, angle_for_strength(s))
-        est = estimate_from_distribution(dist_z, dist_x, theta_w)
+        eps_sq, eta_sq = weak_valued_squares(
+            outcome_distribution(theta_w, angle_for_strength(s)), theta_w
+        )
         eps, eta = exact_error(state, s), exact_disturbance(state, s)
-        assert abs(est.epsilon_sq - eps * eps) <= budget
-        assert abs(est.eta_sq - eta * eta) <= budget
+        assert abs(eps_sq - eps * eps) <= budget
+        assert abs(eta_sq - eta * eta) <= budget
 
 
 def _check_ideal_saturation() -> None:

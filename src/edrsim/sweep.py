@@ -354,10 +354,9 @@ def emit_json(rows: Sequence[SweepResultRow], config: SweepConfig | None = None)
     summary = config_summary(config) if config is not None else None
     lines.append(f'  "config": {_jdump(summary)},')
     lines.append('  "rows": [')
+    keys = [(col, json.dumps(col)) for col in CSV_COLUMNS]
     for pos, row in enumerate(rows):
-        cells = ", ".join(
-            f"{json.dumps(col)}: {_jdump(getattr(row, col))}" for col in CSV_COLUMNS
-        )
+        cells = ", ".join(f"{key}: {_jdump(getattr(row, col))}" for col, key in keys)
         comma = "," if pos + 1 < len(rows) else ""
         lines.append("    {" + cells + "}" + comma)
     lines.append("  ]")

@@ -179,3 +179,21 @@ def oracle_outcome_distribution(theta_w: float, theta: float) -> np.ndarray:
         packed = (bits[1] << 3) | (bits[2] << 2) | (bits[3] << 1) | bits[0]
         probs[packed] += amp2[index]
     return probs
+
+
+def oracle_correlators(probs: np.ndarray) -> np.ndarray:
+    """(E_z, E_x) = p++ + p-- - p+- - p-+ of the (z_i, z_f) and (x_i, x_f) pair marginals.
+
+    ``probs`` holds the 16 readout probabilities, bits (z_i, x_i, z_f, x_f);
+    bit value 0 reads +1 and bit value 1 reads -1.
+    """
+    table = np.asarray(probs, dtype=float).reshape((2, 2, 2, 2))
+    out = []
+    for pair in (table.sum(axis=(1, 3)), table.sum(axis=(0, 2))):
+        out.append(pair[0, 0] + pair[1, 1] - pair[0, 1] - pair[1, 0])
+    return np.array(out)
+
+
+def oracle_weak_valued_squares(probs: np.ndarray, theta_w: float) -> np.ndarray:
+    """Weak-valued (epsilon^2, eta^2) = 2 (1 - E / cos(theta_w)) from the pair marginals."""
+    return 2.0 * (1.0 - oracle_correlators(probs) / math.cos(theta_w))

@@ -25,11 +25,7 @@ import pytest
 import helpers
 from edrsim.bounds import EdrInputs, classify, effective_bound
 from edrsim.circuit import angle_for_strength
-from edrsim.estimators import (
-    estimate_from_distribution,
-    exact_joint_distributions,
-    outcome_distribution,
-)
+from edrsim.estimators import outcome_distribution
 from edrsim.measurement import (
     commutator_bound,
     exact_disturbance,
@@ -218,9 +214,9 @@ def test_predicted_shot_noise_matches_repeat_scatter(shots):
     stats = np.empty((len(GRID), 2))
     for index, s in enumerate(GRID):
         theta = angle_for_strength(s)
-        squares = _repeat_squares(cfg, index, outcome_distribution(THETA_W, theta), THETA_W)
-        dist_z, dist_x = exact_joint_distributions(THETA_W, theta)
-        corr = np.array([dist_z.correlator(), dist_x.correlator()])
+        probs = outcome_distribution(THETA_W, theta)
+        squares = _repeat_squares(cfg, index, probs, THETA_W)
+        corr = helpers.oracle_correlators(probs)
         predicted = 4.0 * (1.0 - corr**2) / (shots * cw * cw)
         stats[index] = ((squares - squares.mean(axis=0)) ** 2).sum(axis=0) / predicted
     pooled = stats.sum(axis=0)
@@ -240,10 +236,10 @@ def test_gate_9_estimator_bias_budget():
     budget = 2.0 * (1.0 - math.sin(THETA_W)) + 1e-9
     worst = 0.0
     for s in GRID:
-        dist_z, dist_x = exact_joint_distributions(THETA_W, angle_for_strength(s))
-        est = estimate_from_distribution(dist_z, dist_x, THETA_W)
+        probs = outcome_distribution(THETA_W, angle_for_strength(s))
+        eps_sq, eta_sq = helpers.oracle_weak_valued_squares(probs, THETA_W)
         eps, eta = exact_error(state, s), exact_disturbance(state, s)
-        worst = max(worst, abs(est.epsilon_sq - eps * eps), abs(est.eta_sq - eta * eta))
+        worst = max(worst, abs(eps_sq - eps * eps), abs(eta_sq - eta * eta))
     ok = worst <= budget
     print(f"gate 9 {'PASS' if ok else 'FAIL'}: weak-valued estimator bias on squared "
           f"estimates, worst = {worst:.6f} (budget {budget:.6f})")

@@ -115,14 +115,13 @@ def test_classification_tolerance():
 
 
 def test_classify_report_shape():
-    report = classify(unit(MIDPOINT, MIDPOINT), strength=0.5, method="exact")
+    report = classify(unit(MIDPOINT, MIDPOINT))
     assert set(report.satisfied) == set(BOUND_NAMES)
     assert not report.satisfied["heisenberg"]
     assert report.satisfied["ozawa"]
     assert report.satisfied["branciard"]
     assert report.satisfied["strong_branciard"]
     assert report.lhs("ozawa") == report.ozawa_lhs
-    assert report.strength == 0.5
 
 
 def test_region_ordering_on_grid():

@@ -9,19 +9,14 @@ from hypothesis import strategies as st
 import helpers
 from edrsim.circuit import angle_for_strength, build_edr_circuit
 from edrsim.estimators import (
-    JointDistribution,
-    _pair_marginal,
+    CORRELATOR_SIGNS,
     basis_probabilities,
     derive_seed,
-    estimate_from_distribution,
-    exact_joint_distributions,
     outcome_distribution,
     readout_basis,
     run_circuit,
     sample_counts,
-    weak_valued_rms,
     weak_valued_squares,
-    weak_valued_table,
 )
 from edrsim.noise import compile_noise, representative_profile
 
@@ -84,43 +79,30 @@ def test_correlator_closed_forms():
     # <z_i z_f> = cos(theta_w) sin(theta_w) cos(theta); <x_i x_f> = cos(theta_w) sin(theta)
     for s in np.linspace(0.0, 1.0, 11):
         theta = angle_for_strength(s)
-        dist_z, dist_x = exact_joint_distributions(THETA_W, theta)
-        want_z = math.cos(THETA_W) * math.sin(THETA_W) * math.cos(theta)
-        want_x = math.cos(THETA_W) * math.sin(theta)
-        assert abs(dist_z.correlator() - want_z) < 1e-12
-        assert abs(dist_x.correlator() - want_x) < 1e-12
+        probs = outcome_distribution(THETA_W, theta)
+        want = [
+            math.cos(THETA_W) * math.sin(THETA_W) * math.cos(theta),
+            math.cos(THETA_W) * math.sin(theta),
+        ]
+        assert np.abs(probs @ CORRELATOR_SIGNS - want).max() < 1e-12
+        assert np.abs(helpers.oracle_correlators(probs) - want).max() < 1e-12
 
 
 def test_estimator_closed_forms():
     for s in np.linspace(0.0, 1.0, 11):
         theta = angle_for_strength(s)
-        dist_z, dist_x = exact_joint_distributions(THETA_W, theta)
-        est = estimate_from_distribution(dist_z, dist_x, THETA_W)
-        assert abs(est.epsilon_sq - 2.0 * (1.0 - math.sin(THETA_W) * math.cos(theta))) < 1e-12
-        assert abs(est.eta_sq - 2.0 * (1.0 - math.sin(theta))) < 1e-12
-        assert est.method == "exact"
+        eps_sq, eta_sq = weak_valued_squares(outcome_distribution(THETA_W, theta), THETA_W)
+        assert abs(eps_sq - 2.0 * (1.0 - math.sin(THETA_W) * math.cos(theta))) < 1e-12
+        assert abs(eta_sq - 2.0 * (1.0 - math.sin(theta))) < 1e-12
 
 
 def test_frozen_point_values():
     theta = angle_for_strength(1.0)
-    dist_z, dist_x = exact_joint_distributions(THETA_W, theta)
-    assert abs(dist_z.correlator() - 0.04993746088859545) < 1e-14
-    est = estimate_from_distribution(dist_z, dist_x, THETA_W)
-    assert abs(est.epsilon_sq - 0.0025015644561822) < 1e-12
-    assert abs(est.eta - math.sqrt(2.0)) < 1e-12
-
-
-def test_joint_distribution_validation():
-    labels = ("z_i", "z_f")
-    good = {(1, 1): 0.5, (1, -1): 0.1, (-1, 1): 0.1, (-1, -1): 0.3}
-    dist = JointDistribution(labels, good)
-    assert abs(dist.correlator() - (0.5 + 0.3 - 0.2)) < 1e-12
-    with pytest.raises(ValueError):
-        JointDistribution(labels, {(1, 1): 1.0})
-    with pytest.raises(ValueError):
-        JointDistribution(labels, {**good, (1, 1): 0.9})
-    with pytest.raises(ValueError):
-        JointDistribution(labels, {**good, (1, 1): -0.2, (-1, -1): 1.0})
+    probs = outcome_distribution(THETA_W, theta)
+    assert abs(probs @ CORRELATOR_SIGNS[:, 0] - 0.04993746088859545) < 1e-14
+    eps_sq, eta_sq = weak_valued_squares(probs, THETA_W)
+    assert abs(eps_sq - 0.0025015644561822) < 1e-12
+    assert abs(math.sqrt(max(eta_sq, 0.0)) - math.sqrt(2.0)) < 1e-12
 
 
 def test_run_circuit_noiseless_is_pure():
@@ -130,9 +112,11 @@ def test_run_circuit_noiseless_is_pure():
 
 
 def test_estimate_rejects_zero_probe_strength():
-    dist_z, dist_x = exact_joint_distributions(THETA_W, 0.3)
+    probs = outcome_distribution(THETA_W, 0.3)
     with pytest.raises(ValueError):
-        estimate_from_distribution(dist_z, dist_x, math.pi / 2.0)
+        weak_valued_squares(probs, math.pi / 2.0)
+    with pytest.raises(ValueError):
+        weak_valued_squares(sample_counts(probs, 100, 1), math.pi / 2.0, 100)
 
 
 def test_derive_seed_is_stable_and_injective():
@@ -187,16 +171,12 @@ def test_sampled_frequencies_form_valid_record(seed):
     assert counts.sum() == 2000
     freq = counts / 2000
     assert abs(freq.sum() - 1.0) < 1e-12
-    # the pair marginals validate as distributions, and the reference
-    # estimator on them agrees with the vectorised one on the counts
-    ref = estimate_from_distribution(
-        _pair_marginal(freq, 0, 2, ("z_i", "z_f")),
-        _pair_marginal(freq, 1, 3, ("x_i", "x_f")),
-        THETA_W,
-    )
+    # the pair-marginal oracle on the frequencies agrees with the
+    # vectorised estimator on the counts
+    ref = helpers.oracle_weak_valued_squares(freq, THETA_W)
     got = weak_valued_squares(counts, THETA_W, 2000)
-    assert abs(got[0] - ref.epsilon_sq) < 1e-12
-    assert abs(got[1] - ref.eta_sq) < 1e-12
+    assert abs(got[0] - ref[0]) < 1e-12
+    assert abs(got[1] - ref[1]) < 1e-12
 
 
 def test_sample_counts_validation():
@@ -214,44 +194,20 @@ def test_sampled_squares_converge():
     probs = outcome_distribution(THETA_W, angle_for_strength(0.5))
     counts = sample_counts(probs, 4_000_000, derive_seed(77, 0, 0))
     got = weak_valued_squares(counts, THETA_W, 4_000_000)
-    exact_z, exact_x = exact_joint_distributions(THETA_W, angle_for_strength(0.5))
-    want = estimate_from_distribution(exact_z, exact_x, THETA_W)
+    want = helpers.oracle_weak_valued_squares(probs, THETA_W)
     # weak-value amplification leaves ~20x sampling noise on the squares
-    assert abs(got[0] - want.epsilon_sq) < 0.1
-    assert abs(got[1] - want.eta_sq) < 0.1
+    assert abs(got[0] - want[0]) < 0.1
+    assert abs(got[1] - want[1]) < 0.1
 
 
 def test_weak_valued_squares_matches_reference_and_broadcasts():
     for s in (0.0, 0.35, 1.0):
         probs = outcome_distribution(THETA_W, angle_for_strength(s))
-        dist_z, dist_x = exact_joint_distributions(THETA_W, angle_for_strength(s))
-        want = estimate_from_distribution(dist_z, dist_x, THETA_W)
+        want = helpers.oracle_weak_valued_squares(probs, THETA_W)
         got = weak_valued_squares(probs, THETA_W)
         assert got.shape == (2,)
-        assert abs(got[0] - want.epsilon_sq) < 1e-12
-        assert abs(got[1] - want.eta_sq) < 1e-12
+        assert abs(got[0] - want[0]) < 1e-12
+        assert abs(got[1] - want[1]) < 1e-12
         stacked = weak_valued_squares(np.stack([probs, probs]), THETA_W)
         assert stacked.shape == (2, 2) and np.abs(stacked - got).max() < 1e-14
-    with pytest.raises(ValueError):
-        weak_valued_squares(probs, math.pi / 2.0)
 
-
-def test_weak_valued_table_sums_to_one_and_matches_rms():
-    for s in (0.2, 0.7):
-        theta = angle_for_strength(s)
-        dist_z, dist_x = exact_joint_distributions(THETA_W, theta)
-        table = weak_valued_table(dist_z, 0.05)
-        assert abs(sum(table.values()) - 1.0) < 1e-12
-        est = estimate_from_distribution(dist_z, dist_x, THETA_W)
-        assert abs(weak_valued_rms(dist_z, 0.05) - est.epsilon_sq) < 1e-12
-        assert abs(weak_valued_rms(dist_x, 0.05) - est.eta_sq) < 1e-12
-
-
-def test_weak_valued_table_admits_negative_entries():
-    # correlator greater than the probe strength forces quasi-probability < 0
-    dist = JointDistribution(
-        ("z_i", "z_f"), {(1, 1): 0.6, (1, -1): 0.0, (-1, 1): 0.0, (-1, -1): 0.4}
-    )
-    table = weak_valued_table(dist, 0.05)
-    assert min(table.values()) < 0.0
-    assert abs(sum(table.values()) - 1.0) < 1e-12

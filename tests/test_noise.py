@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import helpers
 from edrsim.circuit import GateOp, angle_for_strength
 from edrsim.estimators import outcome_distribution
 from edrsim.noise import (
@@ -197,23 +198,17 @@ def test_noisy_distribution_is_still_a_distribution():
 
 
 def test_noise_strictly_raises_floors():
-    from edrsim.measurement import reference_input_state
-    from edrsim.estimators import estimate_from_distribution, exact_joint_distributions
-
     theta_w = angle_for_strength(0.05)
     model = compile_noise(representative_profile())
+
+    def estimates(strength, noise=None):
+        probs = outcome_distribution(theta_w, angle_for_strength(strength), noise)
+        return np.sqrt(np.maximum(helpers.oracle_weak_valued_squares(probs, theta_w), 0.0))
+
     # disturbance floor at zero strength
-    dz_noisy, dx_noisy = exact_joint_distributions(theta_w, angle_for_strength(0.0), model)
-    dz_clean, dx_clean = exact_joint_distributions(theta_w, angle_for_strength(0.0))
-    noisy = estimate_from_distribution(dz_noisy, dx_noisy, theta_w)
-    clean = estimate_from_distribution(dz_clean, dx_clean, theta_w)
-    assert noisy.eta > clean.eta + 0.1
+    assert estimates(0.0, model)[1] > estimates(0.0)[1] + 0.1
     # error floor at full strength
-    dz_noisy, dx_noisy = exact_joint_distributions(theta_w, angle_for_strength(1.0), model)
-    dz_clean, dx_clean = exact_joint_distributions(theta_w, angle_for_strength(1.0))
-    noisy = estimate_from_distribution(dz_noisy, dx_noisy, theta_w)
-    clean = estimate_from_distribution(dz_clean, dx_clean, theta_w)
-    assert noisy.epsilon > clean.epsilon + 0.1
+    assert estimates(1.0, model)[0] > estimates(1.0)[0] + 0.1
 
 
 def test_load_profile_from_disk(tmp_path):

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import helpers
 from edrsim.bounds import effective_bound
 from edrsim.circuit import angle_for_strength
-from edrsim.estimators import estimate_from_distribution, exact_joint_distributions
+from edrsim.estimators import outcome_distribution
 from edrsim.measurement import reference_input_state, standard_deviation
 from edrsim.noise import compile_noise, representative_profile
 from edrsim.qsim import DensityMatrix, X, Z
@@ -78,13 +79,11 @@ def test_exact_rows_match_reference_estimator():
         rows = run_sweep(small_config(strengths=grid, noise_profile=profile))
         model = compile_noise(profile) if profile is not None else None
         for row in rows:
-            dist_z, dist_x = exact_joint_distributions(
-                theta_w, angle_for_strength(row.strength), model
-            )
-            want = estimate_from_distribution(dist_z, dist_x, theta_w)
+            probs = outcome_distribution(theta_w, angle_for_strength(row.strength), model)
+            want_eps_sq, want_eta_sq = helpers.oracle_weak_valued_squares(probs, theta_w)
             # squares: the root of an ulp-sized square is not ulp-sized
-            assert abs(row.epsilon_mean**2 - max(want.epsilon_sq, 0.0)) <= 1e-12
-            assert abs(row.eta_mean**2 - max(want.eta_sq, 0.0)) <= 1e-12
+            assert abs(row.epsilon_mean**2 - max(want_eps_sq, 0.0)) <= 1e-12
+            assert abs(row.eta_mean**2 - max(want_eta_sq, 0.0)) <= 1e-12
 
 
 def test_exact_tradeoff_is_monotone():
