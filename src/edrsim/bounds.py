@@ -2,12 +2,16 @@
 
 All left-hand sides are compared against the commutator bound c with a
 fixed tolerance: a relation counts as satisfied when lhs >= c - 1e-9.
+epsilon and eta may be numpy arrays of one shape; each entry of the result
+then equals, bit for bit, the result for that entry as a scalar.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 SATISFIED_TOL = 1e-9
 
@@ -18,8 +22,8 @@ BOUND_NAMES = ("heisenberg", "ozawa", "branciard", "strong_branciard")
 class EdrInputs:
     """Error, disturbance, the two standard deviations, and the commutator bound."""
 
-    epsilon: float
-    eta: float
+    epsilon: float | np.ndarray
+    eta: float | np.ndarray
     sigma_a: float = 1.0
     sigma_b: float = 1.0
     c: float = 1.0
@@ -27,7 +31,7 @@ class EdrInputs:
     def __post_init__(self) -> None:
         for name in ("epsilon", "eta", "sigma_a", "sigma_b"):
             v = getattr(self, name)
-            if not v >= 0.0:
+            if not np.all(v >= 0.0):
                 raise ValueError(f"{name} = {v} must be nonnegative")
         if not 0.0 <= self.c <= 1.0:
             raise ValueError(f"c = {self.c} outside [0, 1]")
@@ -57,25 +61,24 @@ def branciard_lhs(inputs: EdrInputs) -> float:
     if radicand < -1e-12:
         raise ValueError(f"sigma_a^2 sigma_b^2 - c^2 = {radicand} is negative")
     cross = 2.0 * inputs.epsilon * inputs.eta * math.sqrt(max(radicand, 0.0))
-    return math.sqrt(
-        (inputs.epsilon * inputs.sigma_b) ** 2
-        + (inputs.sigma_a * inputs.eta) ** 2
-        + cross
-    )
+    # x * x, not x ** 2: a Python float's ** 2 is libm pow, at times an ulp
+    # off the correctly rounded product that numpy forms for arrays
+    e, n = inputs.epsilon * inputs.sigma_b, inputs.sigma_a * inputs.eta
+    return np.sqrt(e * e + n * n + cross)
 
 
-def tilde(value: float) -> float:
+def tilde(value: float | np.ndarray) -> float | np.ndarray:
     """The strengthened-bound map v -> v sqrt(1 - v^2/4) for v in [0, 2]."""
-    if not 0.0 <= value <= 2.0:
+    if not np.all((0.0 <= value) & (value <= 2.0)):
         raise ValueError(f"value {value} outside [0, 2]")
-    return value * math.sqrt(1.0 - value * value / 4.0)
+    return value * np.sqrt(1.0 - value * value / 4.0)
 
 
 def strong_branciard_lhs(inputs: EdrInputs) -> float:
     """The tightened relation for +/-1-valued observables, via the tilde map."""
     te, tn = tilde(inputs.epsilon), tilde(inputs.eta)
     cross = 2.0 * te * tn * math.sqrt(max(1.0 - inputs.c**2, 0.0))
-    return math.sqrt(te * te + tn * tn + cross)
+    return np.sqrt(te * te + tn * tn + cross)
 
 
 def effective_bound(theta_w: float) -> float:
@@ -87,7 +90,7 @@ def effective_bound(theta_w: float) -> float:
 
 @dataclass(frozen=True)
 class EdrReport:
-    """The four left-hand sides and satisfied flags for one set of inputs."""
+    """The four left-hand sides and satisfied flags, arrays for array inputs."""
 
     inputs: EdrInputs
     heisenberg_lhs: float

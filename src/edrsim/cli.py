@@ -21,7 +21,6 @@ from pathlib import Path
 from .bounds import EdrInputs, classify
 from .circuit import angle_for_strength, build_edr_circuit, export_qasm
 from .noise import load_profile, representative_profile
-from .selfcheck import run_checks
 from .sweep import MODES, SIGMA_SOURCES, SweepConfig, default_strength_grid, emit_csv, emit_json, run_sweep
 
 OUTPUT_DIR_ENV = "EDRSIM_OUTPUT_DIR"
@@ -98,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="apply relaxation only to the qubits a gate acts on")
     sweep.add_argument("--mode", choices=MODES, default="sampled")
     sweep.add_argument("--jobs", type=_positive_int, default=1,
-                       help="worker processes, at most one per point (results identical for any value)")
+                       help="accepted for compatibility and ignored: a sweep runs in one process")
     sweep.add_argument("--sigma-source", choices=SIGMA_SOURCES, default="ideal",
                        help="take sigma_A, sigma_B from the ideal input state or the simulated post-probe state")
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -187,6 +186,8 @@ def _cmd_export_qasm(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .selfcheck import run_checks  # only this subcommand needs the battery
+
     results = run_checks()
     failed = 0
     for name, passed, detail in results:

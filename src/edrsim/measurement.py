@@ -41,7 +41,6 @@ from .qsim import ATOL, CNOT, I2, X, Z, DensityMatrix
 
 # Standard input state: the -1 eigenstate of Y, written with exact dyadic
 # entries so that expectation values on it stay exact in floating point.
-KET_R = np.array([1.0, -1.0j]) / np.sqrt(2.0)
 _RHO_R = np.array([[0.5, 0.5j], [-0.5j, 0.5]], dtype=complex)
 
 

@@ -49,7 +49,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-import yaml
 
 from .circuit import GateOp
 from .qsim import I2, X, Y, Z, KrausChannel
@@ -125,6 +124,8 @@ def _parse_float(key: str, value: object) -> float:
 
 def parse_profile(text: str) -> CalibrationProfile:
     """Parse a schema-version-1 calibration document; see the module docstring."""
+    import yaml  # only calibration files need it; ideal sweeps never load it
+
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:

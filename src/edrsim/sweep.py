@@ -11,14 +11,13 @@ statistical margins as rms / sqrt(repeats).
 
 Determinism: every sampled batch is seeded by (seed, point index,
 repeat index) only, so results are byte-identical for a given
-configuration no matter how many worker processes run the sweep.
+configuration.  The sweep runs in one process; ``SweepConfig.jobs`` is
+validated and otherwise ignored, so scripts that pass it keep working.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -123,177 +122,89 @@ def post_probe_system_state(theta_w: float, noise: NoiseModel | None = None) -> 
     return run_circuit(prefix, noise).partial_trace([SYSTEM])
 
 
-def _rms(values: Sequence[float], center: float) -> float:
-    if len(values) <= 1:
-        return 0.0
-    return math.sqrt(sum((v - center) ** 2 for v in values) / len(values))
+def _sequential_mean(values: np.ndarray) -> np.ndarray:
+    """Mean over axis 1, added in order: numpy's pairwise sum would round differently."""
+    total = np.zeros(values.shape[:1] + values.shape[2:])
+    for index in range(values.shape[1]):
+        total = total + values[:, index]
+    return total / values.shape[1]
 
 
-def _inputs(
-    eps: float, eta: float, sigma_a: float, sigma_b: float, c: float
-) -> edr_bounds.EdrInputs:
+def _rms(values: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Root-mean-square deviation of each row of (points, repeats) values from its center."""
+    deviation = values - center[:, None]
+    return np.sqrt(_sequential_mean(deviation * deviation))
+
+
+def _row_statistics(
+    squares: np.ndarray, sigmas: tuple[float, float], c: float
+) -> dict[str, list]:
+    """Per-point estimate and relation columns from (points, repeats, 2) squared estimates.
+
+    The relations are classified at the mean estimates; each left-hand
+    side's scatter is taken over the repeats around its value at the mean.
+    """
+    roots = np.sqrt(np.maximum(squares, 0.0))
+    means = _sequential_mean(roots)
     # shot noise on a weak-valued estimate can stray past the physical
     # interval; classification is only defined inside it, so clamp
-    return edr_bounds.EdrInputs(
-        min(max(eps, 0.0), 2.0), min(max(eta, 0.0), 2.0), sigma_a, sigma_b, c
+    at_mean, at_repeats = (
+        edr_bounds.classify(edr_bounds.EdrInputs(v[..., 0], v[..., 1], *sigmas, c))
+        for v in (np.clip(means, 0.0, 2.0), np.clip(roots, 0.0, 2.0))
     )
-
-
-def _bound_stats(
-    eps_values: list[float],
-    eta_values: list[float],
-    mean_eps: float,
-    mean_eta: float,
-    sigma_a: float,
-    sigma_b: float,
-    c: float,
-) -> tuple[edr_bounds.EdrReport, dict[str, float]]:
-    report = edr_bounds.classify(_inputs(mean_eps, mean_eta, sigma_a, sigma_b, c))
-    scatter: dict[str, float] = {}
-    if len(eps_values) > 1:
-        per_lhs = {name: [] for name in edr_bounds.BOUND_NAMES}
-        for eps, eta in zip(eps_values, eta_values):
-            rep = edr_bounds.classify(_inputs(eps, eta, sigma_a, sigma_b, c))
-            for name in edr_bounds.BOUND_NAMES:
-                per_lhs[name].append(rep.lhs(name))
-        for name in edr_bounds.BOUND_NAMES:
-            scatter[name] = _rms(per_lhs[name], report.lhs(name))
-    else:
-        scatter = {name: 0.0 for name in edr_bounds.BOUND_NAMES}
-    return report, scatter
-
-
-def _assemble_row(
-    strength: float,
-    method: str,
-    squares: np.ndarray,
-    refs: tuple[float, float],
-    sigmas: tuple[float, float],
-    c: float,
-    shots: int,
-) -> SweepResultRow:
-    """One row from the (repeats, 2) squared estimates, clamped at zero before the root."""
-    roots = np.sqrt(np.maximum(squares, 0.0)).reshape(-1, 2)
-    eps_values = roots[:, 0].tolist()
-    eta_values = roots[:, 1].tolist()
-    eps_mean = sum(eps_values) / len(eps_values)
-    eta_mean = sum(eta_values) / len(eta_values)
-    report, scatter = _bound_stats(
-        eps_values, eta_values, eps_mean, eta_mean, sigmas[0], sigmas[1], c
-    )
-    return SweepResultRow(
-        strength=strength,
-        method=method,
-        epsilon_mean=eps_mean,
-        epsilon_rms=_rms(eps_values, eps_mean),
-        eta_mean=eta_mean,
-        eta_rms=_rms(eta_values, eta_mean),
-        epsilon_exact=refs[0],
-        eta_exact=refs[1],
-        sigma_a=sigmas[0],
-        sigma_b=sigmas[1],
-        c=c,
-        heisenberg_lhs=report.heisenberg_lhs,
-        heisenberg_rms=scatter["heisenberg"],
-        heisenberg_satisfied=report.satisfied["heisenberg"],
-        ozawa_lhs=report.ozawa_lhs,
-        ozawa_rms=scatter["ozawa"],
-        ozawa_satisfied=report.satisfied["ozawa"],
-        branciard_lhs=report.branciard_lhs,
-        branciard_rms=scatter["branciard"],
-        branciard_satisfied=report.satisfied["branciard"],
-        strong_branciard_lhs=report.strong_branciard_lhs,
-        strong_branciard_rms=scatter["strong_branciard"],
-        strong_branciard_satisfied=report.satisfied["strong_branciard"],
-        shots=shots,
-        repeats=len(eps_values),
-    )
-
-
-@dataclass(frozen=True)
-class _SweepConstants:
-    """Everything a point needs that does not depend on its strength."""
-
-    theta_w: float
-    basis: np.ndarray
-    probe_state: DensityMatrix
-    sigmas: tuple[float, float]
-    c: float
-
-
-def _sweep_constants(cfg: SweepConfig) -> _SweepConstants:
-    theta_w = angle_for_strength(cfg.theta_w_strength)
-    model = (
-        compile_noise(cfg.noise_profile, include_idle=cfg.include_idle)
-        if cfg.noise_profile is not None
-        else None
-    )
-    basis, prefix_state = readout_basis(theta_w, model)
-    probe_state = post_probe_system_state(theta_w)
-    if cfg.sigma_source == "ideal":
-        sigma_state = reference_input_state()
-    else:
-        sigma_state = prefix_state.partial_trace([SYSTEM])
-    sigmas = (standard_deviation(sigma_state, Z), standard_deviation(sigma_state, X))
-    return _SweepConstants(theta_w, basis, probe_state, sigmas, edr_bounds.effective_bound(theta_w))
-
-
-def _repeat_squares(
-    cfg: SweepConfig, index: int, probs: np.ndarray, theta_w: float
-) -> np.ndarray:
-    """(repeats, 2) squared estimates of point ``index``, one seeded batch per repeat."""
-    counts = np.stack([
-        sample_counts(probs, cfg.shots, derive_seed(cfg.seed, index, repeat))
-        for repeat in range(cfg.repeats)
-    ])
-    return weak_valued_squares(counts, theta_w, cfg.shots)
-
-
-def _point_rows(
-    cfg: SweepConfig, consts: _SweepConstants, index: int, strength: float
-) -> list[SweepResultRow]:
-    """Rows for one strength point; exact first when mode is 'both'."""
-    refs = (
-        exact_error(consts.probe_state, strength),
-        exact_disturbance(consts.probe_state, strength),
-    )
-    probs = basis_probabilities(consts.basis, strength)
-    rows = []
-    if cfg.mode in ("exact", "both"):
-        squares = weak_valued_squares(probs, consts.theta_w)
-        rows.append(
-            _assemble_row(strength, "exact", squares, refs, consts.sigmas, consts.c, 0)
-        )
-    if cfg.mode in ("sampled", "both"):
-        squares = _repeat_squares(cfg, index, probs, consts.theta_w)
-        rows.append(
-            _assemble_row(
-                strength, "sampled", squares, refs, consts.sigmas, consts.c, cfg.shots
-            )
-        )
-    return rows
-
-
-def _point_task(
-    payload: tuple[SweepConfig, _SweepConstants, int, float],
-) -> list[SweepResultRow]:
-    return _point_rows(*payload)
+    columns = {}
+    for k, name in enumerate(("epsilon", "eta")):
+        columns[f"{name}_mean"] = means[:, k]
+        columns[f"{name}_rms"] = _rms(roots[..., k], means[:, k])
+    for name in edr_bounds.BOUND_NAMES:
+        columns[f"{name}_lhs"] = at_mean.lhs(name)
+        columns[f"{name}_rms"] = _rms(at_repeats.lhs(name), at_mean.lhs(name))
+        columns[f"{name}_satisfied"] = at_mean.satisfied[name]
+    return {name: values.tolist() for name, values in columns.items()}
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepResultRow]:
     """All sweep rows, ordered by method block (exact before sampled) then strength."""
-    consts = _sweep_constants(cfg)
-    tasks = [(cfg, consts, i, s) for i, s in enumerate(cfg.strengths)]
-    workers = min(cfg.jobs, len(tasks))
-    if workers == 1:
-        per_point = [_point_task(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_point = list(pool.map(_point_task, tasks))
-    rows: list[SweepResultRow] = []
-    for method in ("exact", "sampled"):
-        for point in per_point:
-            rows.extend(r for r in point if r.method == method)
+    theta_w = angle_for_strength(cfg.theta_w_strength)
+    profile = cfg.noise_profile
+    model = None if profile is None else compile_noise(profile, include_idle=cfg.include_idle)
+    basis, prefix_state = readout_basis(theta_w, model)
+    probe_state = post_probe_system_state(theta_w)
+    sigma_state = (
+        reference_input_state() if cfg.sigma_source == "ideal" else prefix_state.partial_trace([SYSTEM])
+    )
+    sigmas = (standard_deviation(sigma_state, Z), standard_deviation(sigma_state, X))
+    c = edr_bounds.effective_bound(theta_w)
+    refs = [(exact_error(probe_state, s), exact_disturbance(probe_state, s)) for s in cfg.strengths]
+    # per point, not one (points, 3) @ (3, 16) product: a batched product
+    # rounds differently and would move the exact rows' bits
+    probs = [basis_probabilities(basis, s) for s in cfg.strengths]
+    blocks = []
+    if cfg.mode in ("exact", "both"):
+        squares = np.stack([weak_valued_squares(p, theta_w) for p in probs])
+        blocks.append(("exact", 0, squares[:, None, :]))
+    if cfg.mode in ("sampled", "both"):
+        counts = np.array([
+            [sample_counts(p, cfg.shots, derive_seed(cfg.seed, i, r)) for r in range(cfg.repeats)]
+            for i, p in enumerate(probs)
+        ])
+        blocks.append(("sampled", cfg.shots, weak_valued_squares(counts, theta_w, cfg.shots)))
+    rows = []
+    for method, shots, squares in blocks:
+        columns = _row_statistics(squares, sigmas, c)
+        for i, (strength, (eps_ref, eta_ref)) in enumerate(zip(cfg.strengths, refs)):
+            rows.append(SweepResultRow(
+                strength=strength,
+                method=method,
+                epsilon_exact=eps_ref,
+                eta_exact=eta_ref,
+                sigma_a=sigmas[0],
+                sigma_b=sigmas[1],
+                c=c,
+                shots=shots,
+                repeats=squares.shape[1],
+                **{name: values[i] for name, values in columns.items()},
+            ))
     return rows
 
 

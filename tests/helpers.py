@@ -197,3 +197,54 @@ def oracle_correlators(probs: np.ndarray) -> np.ndarray:
 def oracle_weak_valued_squares(probs: np.ndarray, theta_w: float) -> np.ndarray:
     """Weak-valued (epsilon^2, eta^2) = 2 (1 - E / cos(theta_w)) from the pair marginals."""
     return 2.0 * (1.0 - oracle_correlators(probs) / math.cos(theta_w))
+
+
+def oracle_row_stats(squares, sigma_a: float, sigma_b: float, c: float) -> dict:
+    """Every statistic of one sweep row from its (repeats, 2) squared estimates.
+
+    Plain Python ``math`` on the literal formulas: roots of the squares
+    clamped at zero, means summed in repeat order, the four relations at the
+    means and at each repeat with epsilon and eta clamped to [0, 2], and each
+    scatter taken about the value at the means.
+    """
+    eps = [math.sqrt(max(float(square), 0.0)) for square, _ in squares]
+    eta = [math.sqrt(max(float(square), 0.0)) for _, square in squares]
+
+    def mean(values):
+        total = 0.0
+        for value in values:
+            total += value
+        return total / len(values)
+
+    def rms(values, center):
+        return math.sqrt(mean([(value - center) ** 2 for value in values]))
+
+    def relations(e, n):
+        e, n = min(max(e, 0.0), 2.0), min(max(n, 0.0), 2.0)
+        te, tn = e * math.sqrt(1.0 - e**2 / 4.0), n * math.sqrt(1.0 - n**2 / 4.0)
+        root = math.sqrt(max((sigma_a * sigma_b) ** 2 - c**2, 0.0))
+        return {
+            "heisenberg": e * n,
+            "ozawa": e * sigma_b + sigma_a * n + e * n,
+            "branciard": math.sqrt((e * sigma_b) ** 2 + (sigma_a * n) ** 2 + 2.0 * e * n * root),
+            "strong_branciard": math.sqrt(
+                te**2 + tn**2 + 2.0 * te * tn * math.sqrt(max(1.0 - c**2, 0.0))
+            ),
+        }
+
+    eps_mean, eta_mean = mean(eps), mean(eta)
+    stats = {
+        "epsilon_mean": eps_mean,
+        "epsilon_rms": rms(eps, eps_mean),
+        "eta_mean": eta_mean,
+        "eta_rms": rms(eta, eta_mean),
+        "sigma_a": sigma_a,
+        "sigma_b": sigma_b,
+        "c": c,
+    }
+    per_repeat = [relations(e, n) for e, n in zip(eps, eta)]
+    for name, lhs in relations(eps_mean, eta_mean).items():
+        stats[f"{name}_lhs"] = lhs
+        stats[f"{name}_rms"] = rms([values[name] for values in per_repeat], lhs)
+        stats[f"{name}_satisfied"] = lhs >= c - 1e-9
+    return stats

@@ -25,7 +25,7 @@ import pytest
 import helpers
 from edrsim.bounds import EdrInputs, classify, effective_bound
 from edrsim.circuit import angle_for_strength
-from edrsim.estimators import outcome_distribution
+from edrsim.estimators import derive_seed, outcome_distribution, sample_counts, weak_valued_squares
 from edrsim.measurement import (
     commutator_bound,
     exact_disturbance,
@@ -34,7 +34,7 @@ from edrsim.measurement import (
 )
 from edrsim.noise import representative_profile
 from edrsim.qsim import DensityMatrix, X, Z
-from edrsim.sweep import SweepConfig, _repeat_squares, default_strength_grid, run_sweep
+from edrsim.sweep import SweepConfig, default_strength_grid, run_sweep
 
 THETA_W = angle_for_strength(0.05)
 GRID = default_strength_grid(21)
@@ -209,13 +209,17 @@ def test_predicted_shot_noise_matches_repeat_scatter(shots):
     deviations of R repeats over that variance is chi-square with R - 1
     degrees of freedom.
     """
-    cfg = SweepConfig(strengths=GRID, shots=shots, repeats=10, seed=PREDICTED_ERROR_SEED)
     cw = math.cos(THETA_W)
     stats = np.empty((len(GRID), 2))
     for index, s in enumerate(GRID):
         theta = angle_for_strength(s)
         probs = outcome_distribution(THETA_W, theta)
-        squares = _repeat_squares(cfg, index, probs, THETA_W)
+        # the sweep's own seeding: one batch per (seed, point index, repeat index)
+        counts = np.stack([
+            sample_counts(probs, shots, derive_seed(PREDICTED_ERROR_SEED, index, repeat))
+            for repeat in range(10)
+        ])
+        squares = weak_valued_squares(counts, THETA_W, shots)
         corr = helpers.oracle_correlators(probs)
         predicted = 4.0 * (1.0 - corr**2) / (shots * cw * cw)
         stats[index] = ((squares - squares.mean(axis=0)) ** 2).sum(axis=0) / predicted

@@ -35,6 +35,8 @@ def test_inputs_validation():
         EdrInputs(0.5, 0.5, 0.5, 0.5, 1.0)  # sigma product below c
     with pytest.raises(ValueError):
         EdrInputs(0.5, 0.5, 1.0, 1.0, -0.2)
+    with pytest.raises(ValueError):  # one bad entry of an array
+        EdrInputs(np.array([0.1, 0.2]), np.array([0.5, -0.5]), 1.0, 1.0, 1.0)
 
 
 def test_heisenberg_point_values():
@@ -72,6 +74,8 @@ def test_tilde_map():
         tilde(2.1)
     with pytest.raises(ValueError):
         tilde(-0.1)
+    with pytest.raises(ValueError):
+        tilde(np.array([0.5, 2.0 + 1e-12, 1.0]))
 
 
 def test_strong_branciard_point_values():
@@ -154,3 +158,21 @@ def test_branciard_radicand_rounds_up_to_zero():
     # sigma product a hair under c is legal input; the tiny negative radicand clamps
     inputs = EdrInputs(1.0, 1.0, 1.0, 1.0 - 2e-13, 1.0)
     assert abs(branciard_lhs(inputs) - math.sqrt(2.0)) < 1e-6
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)), min_size=1, max_size=12),
+    st.floats(1.0, 1.5),
+    st.floats(1.0, 1.5),
+    st.floats(0.0, 1.0),
+)
+def test_classify_on_arrays_matches_scalar_classify(pairs, sigma_a, sigma_b, c):
+    epsilon = np.array([e for e, _ in pairs])
+    eta = np.array([n for _, n in pairs])
+    report = classify(EdrInputs(epsilon, eta, sigma_a, sigma_b, c))
+    for i, (e, n) in enumerate(pairs):
+        one = classify(EdrInputs(e, n, sigma_a, sigma_b, c))
+        for name in BOUND_NAMES:
+            assert report.lhs(name)[i] == one.lhs(name), (name, e, n)
+            assert report.satisfied[name][i] == one.satisfied[name], (name, e, n)

@@ -150,34 +150,18 @@ def test_sweep_zero_probe_strength_is_usage_error():
     assert "probe strength must be positive" in result.stderr
 
 
-class _RecordingPool:
-    """Serial stand-in for ProcessPoolExecutor that records the worker count."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-def test_sweep_jobs_clamped_to_point_count(monkeypatch, tmp_path):
-    import edrsim.sweep
+def test_sweep_jobs_has_no_effect(tmp_path):
     from edrsim.cli import main
 
-    monkeypatch.setattr(edrsim.sweep, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    args = ["sweep", "--strengths", "0.2,0.8", "--mode", "exact", "--format", "json"]
+    args = ["sweep", "--strengths", "0.2,0.8", "--mode", "both", "--shots", "1000",
+            "--repeats", "2", "--format", "json"]
     assert main([*args, "--jobs", "64", "--out", str(tmp_path / "many.json")]) == 0
     assert main([*args, "--jobs", "1", "--out", str(tmp_path / "one.json")]) == 0
-    assert main(["sweep", "--strengths", "0.5", "--mode", "exact", "--jobs", "8",
-                 "--out", str(tmp_path / "single.csv")]) == 0
-    assert _RecordingPool.sizes == [2]  # 64 -> 2 points; one point runs in-process
     assert (tmp_path / "many.json").read_bytes() == (tmp_path / "one.json").read_bytes()
+    assert main([*args, "--jobs", "0"]) == 1
+    # a fresh interpreter, listing every module it imports on stderr
+    fresh = run_cli("sweep", "--grid", "3", "--mode", "exact", "--jobs", "2",
+                    env_extra={"PYTHONPROFILEIMPORTTIME": "1"})
+    assert fresh.returncode == 0
+    assert "edrsim.sweep" in fresh.stderr
+    assert "concurrent.futures" not in fresh.stderr

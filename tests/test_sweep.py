@@ -5,9 +5,17 @@ import numpy as np
 import pytest
 
 import helpers
+import edrsim.bounds
 from edrsim.bounds import effective_bound
 from edrsim.circuit import angle_for_strength
-from edrsim.estimators import outcome_distribution
+from edrsim.estimators import (
+    basis_probabilities,
+    derive_seed,
+    outcome_distribution,
+    readout_basis,
+    sample_counts,
+    weak_valued_squares,
+)
 from edrsim.measurement import reference_input_state, standard_deviation
 from edrsim.noise import compile_noise, representative_profile
 from edrsim.qsim import DensityMatrix, X, Z
@@ -200,6 +208,70 @@ def test_evolution_count_does_not_scale_with_grid(monkeypatch):
         assert len(run_sweep(cfg)) == points
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def test_classify_count_does_not_scale_with_grid(monkeypatch):
+    calls = []
+    original = edrsim.bounds.classify
+
+    def counting(inputs):
+        calls.append(inputs)
+        return original(inputs)
+
+    monkeypatch.setattr(edrsim.bounds, "classify", counting)
+    counts = []
+    for points in (3, 21):
+        calls.clear()
+        cfg = small_config(strengths=default_strength_grid(points), mode="sampled")
+        assert len(run_sweep(cfg)) == points
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize(
+    "points, profile, sigma_source, shots",
+    [
+        (21, None, "ideal", 100_000),
+        (11, representative_profile(), "simulated", 100_000),
+        (11, None, "ideal", 2000),  # shot noise carries estimates past the clamps
+    ],
+)
+def test_rows_match_row_statistics_oracle(points, profile, sigma_source, shots):
+    cfg = SweepConfig(
+        strengths=default_strength_grid(points), shots=shots, repeats=10, seed=2024,
+        mode="both", noise_profile=profile, sigma_source=sigma_source,
+    )
+    theta_w = angle_for_strength(cfg.theta_w_strength)
+    model = compile_noise(profile) if profile is not None else None
+    basis, _ = readout_basis(theta_w, model)
+    if sigma_source == "ideal":
+        sigmas = (1.0, 1.0)
+    else:
+        noisy = post_probe_system_state(theta_w, model)
+        sigmas = (standard_deviation(noisy, Z), standard_deviation(noisy, X))
+    probe = post_probe_system_state(theta_w).mat
+    rows = run_sweep(cfg)
+    assert len(rows) == 2 * points
+    for row in rows:
+        index = cfg.strengths.index(row.strength)
+        probs = basis_probabilities(basis, row.strength)
+        if row.method == "exact":
+            squares = weak_valued_squares(probs, theta_w)[None, :]
+        else:
+            counts = np.stack([
+                sample_counts(probs, cfg.shots, derive_seed(cfg.seed, index, repeat))
+                for repeat in range(cfg.repeats)
+            ])
+            squares = weak_valued_squares(counts, theta_w, cfg.shots)
+        want = helpers.oracle_row_stats(squares, *sigmas, effective_bound(theta_w))
+        for name, value in want.items():
+            if name.endswith("_satisfied"):
+                assert getattr(row, name) is value, (row.method, row.strength, name)
+            else:
+                assert abs(getattr(row, name) - value) <= 1e-12, (row.method, row.strength, name)
+        assert abs(row.epsilon_exact**2 - helpers.oracle_error(probe, row.strength) ** 2) <= 1e-12
+        assert abs(row.eta_exact**2 - helpers.oracle_disturbance(probe, row.strength) ** 2) <= 1e-12
+        assert (row.shots, row.repeats) == ((0, 1) if row.method == "exact" else (cfg.shots, cfg.repeats))
 
 
 def test_noisy_sweep_keeps_valid_flags():
