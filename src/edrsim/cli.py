@@ -17,6 +17,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .bounds import EdrInputs, classify
 from .circuit import angle_for_strength, build_edr_circuit, export_qasm
@@ -59,21 +60,16 @@ def _strength_list(text: str) -> tuple[float, ...]:
     return tuple(_strength_value(p) for p in parts)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} must be positive")
-    return value
-
-
-def _grid_size(text: str) -> int:
-    value = _positive_int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError("grid needs at least 2 points")
-    return value
+def _int_at_least(low: int) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} must be at least {low}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,17 +82,17 @@ def build_parser() -> argparse.ArgumentParser:
     grid = sweep.add_mutually_exclusive_group()
     grid.add_argument("--strengths", type=_strength_list, metavar="S1,S2,...",
                       help="explicit comma-separated strengths in [0, 1]")
-    grid.add_argument("--grid", type=_grid_size, metavar="N",
+    grid.add_argument("--grid", type=_int_at_least(2), metavar="N",
                       help="N evenly spaced strengths over [0, 1] (default 21)")
-    sweep.add_argument("--shots", type=_positive_int, default=100_000)
-    sweep.add_argument("--repeats", type=_positive_int, default=10)
-    sweep.add_argument("--seed", type=int, default=12345)
+    sweep.add_argument("--shots", type=_int_at_least(1), default=100_000)
+    sweep.add_argument("--repeats", type=_int_at_least(1), default=10)
+    sweep.add_argument("--seed", type=_int_at_least(0), default=12345)
     sweep.add_argument("--noise", metavar="PATH",
                        help="calibration YAML, or 'representative' for the packaged profile")
     sweep.add_argument("--no-idle-relaxation", action="store_true",
                        help="apply relaxation only to the qubits a gate acts on")
     sweep.add_argument("--mode", choices=MODES, default="sampled")
-    sweep.add_argument("--jobs", type=_positive_int, default=1,
+    sweep.add_argument("--jobs", type=_int_at_least(1), default=1,
                        help="accepted for compatibility and ignored: a sweep runs in one process")
     sweep.add_argument("--sigma-source", choices=SIGMA_SOURCES, default="ideal",
                        help="take sigma_A, sigma_B from the ideal input state or the simulated post-probe state")

@@ -20,12 +20,15 @@ reported raw alongside estimates clamped at zero before the square root.
 A sweep evolves the circuit once (``readout_basis``), not once per strength
 (``outcome_distribution``, kept as the per-point reference): the readout
 distribution is affine in (1, cos theta, sin theta) of the meter angle.
+``sample_counts`` then draws all of a point's shot batches from one seeded
+stream in one multinomial call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
+from typing import Sequence
 
 import numpy as np
 
@@ -100,29 +103,26 @@ def basis_probabilities(basis: np.ndarray, strength: float) -> np.ndarray:
     return np.array([1.0, strength, math.sqrt((1.0 - strength) * (1.0 + strength))]) @ basis
 
 
-def derive_seed(base_seed: int, *indices: int) -> int:
-    """Deterministic per-task seed from a base seed and position indices."""
-    ss = np.random.SeedSequence([int(base_seed), *[int(i) for i in indices]])
-    return int(ss.generate_state(1, np.uint64)[0])
+def sample_counts(
+    probs: np.ndarray, shots: int, entropy: int | Sequence[int], repeats: int
+) -> np.ndarray:
+    """Counts of ``repeats`` batches of ``shots`` i.i.d. outcomes, shape (repeats, 16).
 
-
-def sample_counts(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """Counts of ``shots`` i.i.d. outcomes, from one multinomial draw.
-
-    Time and memory are O(len(probs)) whatever ``shots`` is.  Outcomes with
-    exactly zero probability are never produced: they are left out of the
-    draw, so none can receive the rounding remainder.
+    One generator seeded by ``SeedSequence(entropy)`` draws all batches in one
+    multinomial call: time and memory are O(repeats) whatever ``shots`` is.
+    Outcomes with exactly zero probability are never produced: they are left
+    out of the draw, so none can receive the rounding remainder.
     """
     probs = np.asarray(probs, dtype=float)
-    if shots < 1:
-        raise ValueError(f"shots must be positive, got {shots}")
+    if shots < 1 or repeats < 1:
+        raise ValueError(f"shots {shots} and repeats {repeats} must be positive")
     if np.any(probs < -1e-12):
         raise ValueError("negative probability in outcome distribution")
     probs = np.clip(probs, 0.0, None)
     drawn = np.flatnonzero(probs)
-    counts = np.zeros(probs.size, dtype=np.int64)
-    rng = np.random.default_rng(int(seed))
-    counts[drawn] = rng.multinomial(int(shots), probs[drawn] / probs[drawn].sum())
+    counts = np.zeros((repeats, probs.size), dtype=np.int64)
+    rng = np.random.default_rng(entropy)
+    counts[:, drawn] = rng.multinomial(int(shots), probs[drawn] / probs[drawn].sum(), size=repeats)
     return counts
 
 

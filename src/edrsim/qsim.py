@@ -10,13 +10,14 @@ Numerical contracts, assuming double precision and registers of at most
 about ten qubits: equality-type checks use an absolute tolerance of
 ``ATOL`` (1e-12), and positive semidefiniteness admits eigenvalues down
 to ``PSD_FLOOR`` (-1e-10).  Hermiticity and unit trace are enforced on
-construction; the eigenvalue check is only run by :meth:`DensityMatrix.
-validate` because it is the one check that costs a full diagonalisation.
+construction, but not on a gate's or channel's output (``check=False``), which
+a trace-preserving map keeps valid.  The eigenvalue check is only run by
+:meth:`DensityMatrix.validate`: it costs a full diagonalisation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -134,8 +135,9 @@ class DensityMatrix:
 
     num_qubits: int
     mat: np.ndarray
+    check: InitVar[bool] = True
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, check: bool) -> None:
         mat = np.asarray(self.mat, dtype=complex)
         object.__setattr__(self, "mat", mat)
         dim = 2**self.num_qubits
@@ -143,10 +145,11 @@ class DensityMatrix:
             raise ValueError("need at least one qubit")
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match {self.num_qubits} qubit(s)")
-        _require_hermitian(mat, "density matrix")
-        tr = np.trace(mat)
-        if abs(tr - 1.0) > ATOL:
-            raise ValueError(f"density matrix trace {tr} is not 1")
+        if check:
+            _require_hermitian(mat, "density matrix")
+            tr = np.trace(mat)
+            if abs(tr - 1.0) > ATOL:
+                raise ValueError(f"density matrix trace {tr} is not 1")
 
     @classmethod
     def ground(cls, num_qubits: int) -> "DensityMatrix":
@@ -195,7 +198,7 @@ class DensityMatrix:
         back = sorted(range(2 * n), key=order.__getitem__)
         t = self.mat.reshape((2,) * (2 * n)).transpose(order)
         out = (superop @ t.reshape(4**k, -1)).reshape(t.shape).transpose(back)
-        return DensityMatrix(n, out.reshape(2**n, 2**n))
+        return DensityMatrix(n, out.reshape(2**n, 2**n), check=False)
 
     def partial_trace(self, keep: Sequence[int]) -> "DensityMatrix":
         """Reduced state over ``keep``, ordered as listed."""
@@ -246,10 +249,7 @@ class DensityMatrix:
 
     def validate(self) -> "DensityMatrix":
         """Full state check including positive semidefiniteness; returns self."""
-        _require_hermitian(self.mat, "density matrix")
-        tr = np.trace(self.mat)
-        if abs(tr - 1.0) > ATOL:
-            raise ValueError(f"density matrix trace {tr} is not 1")
+        DensityMatrix(self.num_qubits, self.mat)  # Hermiticity and unit trace
         lowest = float(np.linalg.eigvalsh((self.mat + self.mat.conj().T) / 2.0)[0])
         if lowest < PSD_FLOOR:
             raise ValueError(f"density matrix has eigenvalue {lowest:.3e} below {PSD_FLOOR}")

@@ -17,7 +17,6 @@ from .bounds import EdrInputs, classify, effective_bound
 from .circuit import angle_for_strength, build_edr_circuit
 from .estimators import (
     basis_probabilities,
-    derive_seed,
     outcome_distribution,
     readout_basis,
     sample_counts,
@@ -119,14 +118,13 @@ def _check_effective_bound() -> None:
 
 def _check_sampling_determinism() -> None:
     probs = outcome_distribution(angle_for_strength(0.05), angle_for_strength(0.5))
-    seed = derive_seed(12345, 3, 0)
-    first = sample_counts(probs, 2000, seed)
-    second = sample_counts(probs, 2000, seed)
-    assert np.array_equal(first, second)
-    other = sample_counts(probs, 2000, derive_seed(12345, 3, 1))
-    assert not np.array_equal(first, other)
-    assert first.sum() == 2000
-    assert np.all(first[np.asarray(probs) <= 0.0] == 0)
+    # the sweep's own entropy: (seed, point index)
+    first = sample_counts(probs, 2000, [12345, 3], 2)
+    assert np.array_equal(first, sample_counts(probs, 2000, [12345, 3], 2))
+    assert not np.array_equal(first, sample_counts(probs, 2000, [12345, 4], 2))
+    assert not np.array_equal(first[0], first[1])
+    assert np.all(first.sum(axis=1) == 2000)
+    assert np.all(first[:, np.asarray(probs) <= 0.0] == 0)
 
 
 def _check_representative_profile() -> None:

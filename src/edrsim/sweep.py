@@ -9,10 +9,11 @@ the estimate and the root-mean-square scatter of the repeat values as
 the error bar; left-hand-side scatter columns let consumers form
 statistical margins as rms / sqrt(repeats).
 
-Determinism: every sampled batch is seeded by (seed, point index,
-repeat index) only, so results are byte-identical for a given
-configuration.  The sweep runs in one process; ``SweepConfig.jobs`` is
-validated and otherwise ignored, so scripts that pass it keep working.
+Determinism: each strength point has one random stream, seeded by
+(seed, point index) only, that draws all its repeats in one multinomial
+call, so results are byte-identical for a given configuration.  The sweep
+runs in one process; ``SweepConfig.jobs`` is validated and otherwise
+ignored, so scripts that pass it keep working.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from . import bounds as edr_bounds
 from .circuit import SYSTEM, angle_for_strength, build_edr_circuit
 from .estimators import (
     basis_probabilities,
-    derive_seed,
     readout_basis,
     run_circuit,
     sample_counts,
@@ -76,6 +76,8 @@ class SweepConfig:
             raise ValueError(f"shots {self.shots} must be positive")
         if self.repeats < 1:
             raise ValueError(f"repeats {self.repeats} must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} must be non-negative")
         if self.jobs < 1:
             raise ValueError(f"jobs {self.jobs} must be positive")
         if self.mode not in MODES:
@@ -185,8 +187,7 @@ def run_sweep(cfg: SweepConfig) -> list[SweepResultRow]:
         blocks.append(("exact", 0, squares[:, None, :]))
     if cfg.mode in ("sampled", "both"):
         counts = np.array([
-            [sample_counts(p, cfg.shots, derive_seed(cfg.seed, i, r)) for r in range(cfg.repeats)]
-            for i, p in enumerate(probs)
+            sample_counts(p, cfg.shots, [cfg.seed, i], cfg.repeats) for i, p in enumerate(probs)
         ])
         blocks.append(("sampled", cfg.shots, weak_valued_squares(counts, theta_w, cfg.shots)))
     rows = []

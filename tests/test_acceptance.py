@@ -25,7 +25,7 @@ import pytest
 import helpers
 from edrsim.bounds import EdrInputs, classify, effective_bound
 from edrsim.circuit import angle_for_strength
-from edrsim.estimators import derive_seed, outcome_distribution, sample_counts, weak_valued_squares
+from edrsim.estimators import outcome_distribution, sample_counts, weak_valued_squares
 from edrsim.measurement import (
     commutator_bound,
     exact_disturbance,
@@ -214,11 +214,8 @@ def test_predicted_shot_noise_matches_repeat_scatter(shots):
     for index, s in enumerate(GRID):
         theta = angle_for_strength(s)
         probs = outcome_distribution(THETA_W, theta)
-        # the sweep's own seeding: one batch per (seed, point index, repeat index)
-        counts = np.stack([
-            sample_counts(probs, shots, derive_seed(PREDICTED_ERROR_SEED, index, repeat))
-            for repeat in range(10)
-        ])
+        # the sweep's own seeding: one stream per (seed, point index) draws all repeats
+        counts = sample_counts(probs, shots, [PREDICTED_ERROR_SEED, index], 10)
         squares = weak_valued_squares(counts, THETA_W, shots)
         corr = helpers.oracle_correlators(probs)
         predicted = 4.0 * (1.0 - corr**2) / (shots * cw * cw)

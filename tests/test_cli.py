@@ -150,6 +150,15 @@ def test_sweep_zero_probe_strength_is_usage_error():
     assert "probe strength must be positive" in result.stderr
 
 
+def test_sweep_negative_seed_is_usage_error():
+    args = ("sweep", "--grid", "2", "--shots", "10", "--repeats", "1", "--seed")
+    result = run_cli(*args, "-1")
+    assert result.returncode == 1
+    assert "usage" in result.stderr.lower()
+    assert "--seed: -1 must be at least 0" in result.stderr
+    assert run_cli(*args, "0").returncode == 0
+
+
 def test_sweep_jobs_has_no_effect(tmp_path):
     from edrsim.cli import main
 

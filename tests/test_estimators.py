@@ -11,7 +11,6 @@ from edrsim.circuit import angle_for_strength, build_edr_circuit
 from edrsim.estimators import (
     CORRELATOR_SIGNS,
     basis_probabilities,
-    derive_seed,
     outcome_distribution,
     readout_basis,
     run_circuit,
@@ -70,9 +69,14 @@ def test_outcome_distribution_matches_independent_simulation():
 def test_noisy_outcome_distribution_matches_literal_oracle(model_name, strength):
     model = NOISE_MODELS[model_name]
     theta = angle_for_strength(strength)
+    circuit = build_edr_circuit(THETA_W, theta)
     got = outcome_distribution(THETA_W, theta, model)
-    want = helpers.oracle_noisy_outcome_distribution(build_edr_circuit(THETA_W, theta), model)
+    want = helpers.oracle_noisy_outcome_distribution(circuit, model)
     assert np.abs(got - want).max() <= 1e-12
+    # evolution skips the construction checks; the final state must still pass them all
+    state = run_circuit(circuit, model).validate()
+    assert np.abs(state.mat - state.mat.conj().T).max() <= 1e-12
+    assert abs(np.trace(state.mat) - 1.0) <= 1e-12
 
 
 def test_correlator_closed_forms():
@@ -116,35 +120,43 @@ def test_estimate_rejects_zero_probe_strength():
     with pytest.raises(ValueError):
         weak_valued_squares(probs, math.pi / 2.0)
     with pytest.raises(ValueError):
-        weak_valued_squares(sample_counts(probs, 100, 1), math.pi / 2.0, 100)
+        weak_valued_squares(sample_counts(probs, 100, 1, 1), math.pi / 2.0, 100)
 
 
-def test_derive_seed_is_stable_and_injective():
-    seeds = {derive_seed(12345, i, r) for i in range(21) for r in range(10)}
-    assert len(seeds) == 210
-    assert derive_seed(12345, 3, 7) == derive_seed(12345, 3, 7)
-    assert derive_seed(12345, 3, 7) != derive_seed(12345, 7, 3)
-    assert derive_seed(1, 0) != derive_seed(2, 0)
+def test_sample_counts_is_stable_and_distinct_per_seed_and_point():
+    probs = outcome_distribution(THETA_W, angle_for_strength(0.6))
+    # the sweep's entropy: (seed, point index) gives one stream per point
+    draws = {
+        (seed, index): sample_counts(probs, 5000, [seed, index], 3)
+        for seed in (1, 2, 12345) for index in range(21)
+    }
+    assert len({counts.tobytes() for counts in draws.values()}) == len(draws)
+    assert np.array_equal(sample_counts(probs, 5000, [12345, 3], 3), draws[12345, 3])
+    assert not np.array_equal(draws[12345, 3], sample_counts(probs, 5000, [3, 12345], 3))
 
 
 def test_sample_counts_deterministic_and_conserving():
     probs = outcome_distribution(THETA_W, angle_for_strength(0.6))
-    a = sample_counts(probs, 5000, 99)
-    b = sample_counts(probs, 5000, 99)
+    a = sample_counts(probs, 5000, 99, 4)
+    b = sample_counts(probs, 5000, 99, 4)
     assert np.array_equal(a, b)
-    assert a.sum() == 5000
+    assert a.shape == (4, 16)
+    assert np.all(a.sum(axis=1) == 5000)
     assert a.dtype == np.int64
-    c = sample_counts(probs, 5000, 100)
+    # the repeats are independent batches, not copies of one
+    assert len({row.tobytes() for row in a}) == 4
+    c = sample_counts(probs, 5000, 100, 4)
     assert not np.array_equal(a, c)
+    assert sample_counts(probs, 5000, 99, 1).shape == (1, 16)
 
 
 def test_sample_counts_never_draws_zero_probability_outcomes():
     probs = np.zeros(16)
     probs[[0, 5, 10]] = (0.25, 0.5, 0.25)
     for seed in range(20):
-        counts = sample_counts(probs, 1000, seed)
-        assert counts.sum() == 1000
-        drawn = set(np.nonzero(counts)[0])
+        counts = sample_counts(probs, 1000, seed, 5)
+        assert np.all(counts.sum(axis=1) == 1000)
+        drawn = set(np.nonzero(counts)[1])
         assert drawn <= {0, 5, 10}
 
 
@@ -153,20 +165,20 @@ def test_sample_counts_huge_shot_count_allocates_nothing_per_shot():
     probs[[1, 6, 12]] = (0.2, 0.5, 0.3)
     tracemalloc.start()
     try:
-        counts = sample_counts(probs, 10**12, 5)
+        counts = sample_counts(probs, 10**12, 5, 10)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert counts.sum() == 10**12
-    assert set(np.nonzero(counts)[0]) == {1, 6, 12}
-    assert peak < 64 * 1024  # one 8-byte float per shot would be 8 TB
-    assert abs(counts[6] / 10**12 - 0.5) < 1e-5
+    assert np.all(counts.sum(axis=1) == 10**12)
+    assert set(np.nonzero(counts)[1]) == {1, 6, 12}
+    assert peak < 64 * 1024  # one 8-byte float per shot would be 80 TB
+    assert np.abs(counts[:, 6] / 10**12 - 0.5).max() < 1e-5
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_sampled_frequencies_form_valid_record(seed):
-    counts = sample_counts(outcome_distribution(THETA_W, angle_for_strength(0.5)), 2000, seed)
+    (counts,) = sample_counts(outcome_distribution(THETA_W, angle_for_strength(0.5)), 2000, seed, 1)
     assert counts.shape == (16,) and np.all(counts >= 0)
     assert counts.sum() == 2000
     freq = counts / 2000
@@ -182,17 +194,19 @@ def test_sampled_frequencies_form_valid_record(seed):
 def test_sample_counts_validation():
     probs = outcome_distribution(THETA_W, angle_for_strength(0.5))
     with pytest.raises(ValueError):
-        sample_counts(probs, 0, 1)
+        sample_counts(probs, 0, 1, 1)
+    with pytest.raises(ValueError):
+        sample_counts(probs, 100, 1, 0)
     bad = probs.copy()
     bad[0] -= 0.2
     bad[1] += 0.2
     with pytest.raises(ValueError):
-        sample_counts(bad, 100, 1)
+        sample_counts(bad, 100, 1, 1)
 
 
 def test_sampled_squares_converge():
     probs = outcome_distribution(THETA_W, angle_for_strength(0.5))
-    counts = sample_counts(probs, 4_000_000, derive_seed(77, 0, 0))
+    (counts,) = sample_counts(probs, 4_000_000, [77, 0], 1)
     got = weak_valued_squares(counts, THETA_W, 4_000_000)
     want = helpers.oracle_weak_valued_squares(probs, THETA_W)
     # weak-value amplification leaves ~20x sampling noise on the squares

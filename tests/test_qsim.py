@@ -253,6 +253,7 @@ def _check_evolution_against_oracle(n, targets, kind, seed):
         got = state.apply_channel(KrausChannel(tuple(ops)), targets)
     want = helpers.oracle_apply_kraus(rho, ops, list(targets), n)
     assert np.abs(got.mat - want).max() <= 1e-12
+    got.validate()  # evolution skips the construction checks; the full check still holds
 
 
 @settings(max_examples=120, deadline=None)

@@ -6,11 +6,11 @@ import pytest
 
 import helpers
 import edrsim.bounds
+import edrsim.sweep
 from edrsim.bounds import effective_bound
 from edrsim.circuit import angle_for_strength
 from edrsim.estimators import (
     basis_probabilities,
-    derive_seed,
     outcome_distribution,
     readout_basis,
     sample_counts,
@@ -64,6 +64,8 @@ def test_config_validation():
         small_config(theta_w_strength=0.0)
     with pytest.raises(ValueError):
         small_config(sigma_source="guess")
+    with pytest.raises(ValueError):
+        small_config(seed=-1)
 
 
 def test_exact_rows_carry_reference_curves():
@@ -210,6 +212,22 @@ def test_evolution_count_does_not_scale_with_grid(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
+def test_sampler_draws_once_per_point(monkeypatch):
+    calls = []
+    original = edrsim.sweep.sample_counts
+
+    def counting(probs, shots, entropy, repeats):
+        calls.append((shots, entropy, repeats))
+        return original(probs, shots, entropy, repeats)
+
+    monkeypatch.setattr(edrsim.sweep, "sample_counts", counting)
+    cfg = small_config(strengths=default_strength_grid(21), mode="sampled", repeats=10)
+    rows = run_sweep(cfg)
+    assert calls == [(cfg.shots, [cfg.seed, index], 10) for index in range(21)]
+    # the repeats of one point are distinct draws, not one batch copied
+    assert all(row.epsilon_rms > 0.0 and row.eta_rms > 0.0 for row in rows)
+
+
 def test_classify_count_does_not_scale_with_grid(monkeypatch):
     calls = []
     original = edrsim.bounds.classify
@@ -258,10 +276,7 @@ def test_rows_match_row_statistics_oracle(points, profile, sigma_source, shots):
         if row.method == "exact":
             squares = weak_valued_squares(probs, theta_w)[None, :]
         else:
-            counts = np.stack([
-                sample_counts(probs, cfg.shots, derive_seed(cfg.seed, index, repeat))
-                for repeat in range(cfg.repeats)
-            ])
+            counts = sample_counts(probs, cfg.shots, [cfg.seed, index], cfg.repeats)
             squares = weak_valued_squares(counts, theta_w, cfg.shots)
         want = helpers.oracle_row_stats(squares, *sigmas, effective_bound(theta_w))
         for name, value in want.items():
