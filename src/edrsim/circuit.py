@@ -20,8 +20,7 @@ are the only places that conversion lives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,22 +112,6 @@ class Circuit:
     def measured_qubits(self) -> tuple[int, ...]:
         return tuple(q for q, _ in self.measurements)
 
-    @property
-    def outcome_labels(self) -> tuple[str, ...]:
-        return tuple(lbl for _, lbl in self.measurements)
-
-    def relabeled(self, mapping: Mapping[int, int]) -> "Circuit":
-        """Rewire every qubit index through ``mapping`` (a bijection on the register)."""
-        if sorted(mapping) != list(range(self.num_qubits)) or sorted(
-            mapping.values()
-        ) != list(range(self.num_qubits)):
-            raise ValueError("mapping must be a bijection on the full register")
-        ops = tuple(
-            GateOp(op.kind, tuple(mapping[q] for q in op.qubits), op.angle) for op in self.ops
-        )
-        meas = tuple((mapping[q], lbl) for q, lbl in self.measurements)
-        return Circuit(self.num_qubits, ops, meas)
-
 
 def build_edr_circuit(theta_w: float, theta: float) -> Circuit:
     """The four-qubit weak-probe error-disturbance circuit.
@@ -162,53 +145,6 @@ def build_edr_circuit(theta_w: float, theta: float) -> Circuit:
         (SYSTEM, "x_f"),
     )
     return Circuit(4, ops, measurements)
-
-
-@dataclass(frozen=True)
-class CouplingMap:
-    """Undirected two-qubit connectivity, stored as sorted index pairs."""
-
-    edges: frozenset[tuple[int, int]]
-
-    @classmethod
-    def from_pairs(cls, pairs: Sequence[Sequence[int]]) -> "CouplingMap":
-        edges = set()
-        for a, b in pairs:
-            if a == b:
-                raise ValueError(f"self-edge {a}-{b}")
-            edges.add((min(a, b), max(a, b)))
-        return cls(frozenset(edges))
-
-    @classmethod
-    def star(cls, center: int, leaves: Sequence[int]) -> "CouplingMap":
-        return cls.from_pairs([(center, leaf) for leaf in leaves])
-
-    def connects(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.edges
-
-
-# Layout used when targeting star-connected hardware whose hub qubit sits at
-# physical index 1 with neighbours 0, 2 and 3: the system must own the hub.
-DEVICE_LAYOUT = {SYSTEM: 1, PROBE_Z: 0, PROBE_X: 2, METER: 3}
-DEVICE_COUPLING = CouplingMap.from_pairs([(0, 1), (1, 2), (1, 3)])
-
-
-def validate_against_coupling(
-    circuit: Circuit,
-    coupling: CouplingMap,
-    layout: Mapping[int, int] | None = None,
-) -> list[GateOp]:
-    """Return the two-qubit gates whose (optionally relabeled) pair is unconnected."""
-    violations = []
-    for op in circuit.ops:
-        if len(op.qubits) != 2:
-            continue
-        a, b = op.qubits
-        if layout is not None:
-            a, b = layout[a], layout[b]
-        if not coupling.connects(a, b):
-            violations.append(op)
-    return violations
 
 
 def export_qasm(circuit: Circuit) -> str:

@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--repeats", type=_int_at_least(1), default=10)
     sweep.add_argument("--seed", type=_int_at_least(0), default=12345)
     sweep.add_argument("--noise", metavar="PATH",
-                       help="calibration YAML, or 'representative' for the packaged profile")
+                       help="calibration file of flat key: number lines, or 'representative'")
     sweep.add_argument("--no-idle-relaxation", action="store_true",
                        help="apply relaxation only to the qubits a gate acts on")
     sweep.add_argument("--mode", choices=MODES, default="sampled")

@@ -143,10 +143,10 @@ class IndirectMeasurement:
         return u.conj().T @ before @ u - before
 
 
-# Only the meter ket depends on the strength, so the operators are built once.
-_Z_THROUGH_METER = IndirectMeasurement.z_through_meter(1.0)
-_Z_NOISE_OP = _Z_THROUGH_METER.noise_operator()
-_X_DISTURBANCE_OP = _Z_THROUGH_METER.disturbance_operator(X)
+# Only the meter ket depends on the strength, so the operators are fixed: these are
+# IndirectMeasurement.z_through_meter's noise_operator() and disturbance_operator(X).
+_Z_NOISE_OP = CNOT.conj().T @ np.kron(I2, Z) @ CNOT - np.kron(Z, I2)
+_X_DISTURBANCE_OP = CNOT.conj().T @ np.kron(X, I2) @ CNOT - np.kron(X, I2)
 
 
 def _rms(op: np.ndarray, system_state: DensityMatrix, strength: float) -> float:

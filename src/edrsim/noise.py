@@ -19,7 +19,8 @@ probabilities before sampling:
 
 with e01 = P(read 1 | prepared 0) and e10 = P(read 0 | prepared 1).
 
-Calibration file schema (YAML, flat keys), version 1::
+Calibration file schema, version 1: a strict flat ``key: number`` subset
+of YAML, one entry per line::
 
     schema_version: 1
     q0_t1_us: 90.0             # relaxation time, microseconds
@@ -33,6 +34,19 @@ Calibration file schema (YAML, flat keys), version 1::
     cnot_duration_ns: 300.0
     readout_duration_ns: 700.0
 
+Blank lines and ``#`` comments (after at least one space when they follow a
+value) are skipped.  An entry starts in the first column, its key is ASCII
+letters, digits and ``_``, and spaces (not tabs) follow the colon.  A value
+is a decimal int with no leading zero, a decimal float with a ``.`` and an
+optional signed exponent (``1.5e-3``, not ``1.5e3``), or ``.inf``, ``+.inf``,
+``-.inf`` (also ``.Inf`` and ``.INF``).  Any other value is rejected as not
+a number.  Every accepted document reads as YAML would read it.  Some
+documents YAML reads are rejected instead, naming the line: duplicate keys
+(also ``q00_t1_us`` beside ``q0_t1_us``), any line that is not ``key: value``
+(nested or flow mappings, ``---``, indented entries), and ``017``,
+``0x1f``, ``1_000.0`` or ``1:30``, which YAML takes for octal,
+hexadecimal, underscored or base-60 numbers.
+
 Any omitted field takes its noiseless default (t1 = t2 = .inf, zero
 errors) or the duration defaults above.  ``readout_duration_ns`` is
 recorded for completeness but does not enter the compiled channels;
@@ -43,7 +57,8 @@ Unknown keys are rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+import re
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
@@ -116,39 +131,69 @@ class CalibrationProfile:
         return len(self.qubits)
 
 
-def _parse_float(key: str, value: object) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key}: expected a number, got {value!r}")
+# Line patterns, compiled by re's cache on first use, so runs without a calibration
+# file never pay for them.  A comment holds YAML's printable characters other than
+# line breaks (the class is their complement, which compiles faster); lines may end
+# in \r.
+_COMMENT = r"(?:#[^\x00-\x08\n-\x1f\x7f-\x9f\u2028\u2029\ud800-\udfff\ufffe\uffff]*)?\r?"
+_BLANK = " *" + _COMMENT
+_ENTRY = r"([A-Za-z0-9_]+): +(\S+)(?: +" + _COMMENT + r"|\r?)"
+_QUBIT_KEY = r"q(0|[1-9][0-9]*)_(.+)"  # one spelling per qubit: q0_, never q00_
+_NUMBER = (
+    r"[-+]?(?:0|[1-9][0-9]*)"
+    r"|[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?|\.[0-9]+(?:[eE][-+][0-9]+)?"
+    r"|[-+]?\.(?:inf|Inf|INF)"
+)
+
+
+def _scalar(text: str) -> int | float | str:
+    """The int or float a value spells, as YAML reads it, or the text itself."""
+    if not re.fullmatch(_NUMBER, text):
+        return text
+    if "." not in text:
+        return int(text)
+    return float(text.lower().replace(".inf", "inf"))
+
+
+def _read_flat(text: str) -> dict[str, tuple[int, int | float | str]]:
+    """Map each key of a flat ``key: value`` document to (line number, value)."""
+    entries: dict[str, tuple[int, int | float | str]] = {}
+    for number, line in enumerate(text.split("\n"), 1):
+        if re.fullmatch(_BLANK, line):
+            continue
+        match = re.fullmatch(_ENTRY, line)
+        if match is None:
+            raise ValueError(f"line {number}: expected 'key: number', got {line!r}")
+        key, value = match.groups()
+        if key in entries:
+            raise ValueError(f"line {number}: duplicate key {key!r} (first on line {entries[key][0]})")
+        entries[key] = (number, _scalar(value))
+    return entries
+
+
+def _parse_float(key: str, value: int | float | str, line: int) -> float:
+    if isinstance(value, str):
+        raise ValueError(f"line {line}: {key}: expected a number, got {value!r}")
     return float(value)
 
 
 def parse_profile(text: str) -> CalibrationProfile:
     """Parse a schema-version-1 calibration document; see the module docstring."""
-    import yaml  # only calibration files need it; ideal sweeps never load it
-
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ValueError(f"calibration document does not parse: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError("calibration document must be a key-value mapping")
-    doc = dict(doc)
-    version = doc.pop("schema_version", None)
+    doc = _read_flat(text)
+    version = doc.pop("schema_version", (0, None))[1]
     if version != SCHEMA_VERSION:
         raise ValueError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
 
     per_qubit: dict[int, dict[str, float]] = {}
     gate_values: dict[str, float] = {}
-    for key, value in doc.items():
-        if isinstance(key, str) and key.startswith("q") and "_" in key:
-            head, _, rest = key.partition("_")
-            if head[1:].isdigit() and rest in _QUBIT_FIELDS:
-                per_qubit.setdefault(int(head[1:]), {})[rest] = _parse_float(key, value)
-                continue
-        if key in _GATE_FIELD_DEFAULTS:
-            gate_values[key] = _parse_float(key, value)
-            continue
-        raise ValueError(f"unknown calibration key {key!r}")
+    for key, (line, value) in doc.items():
+        qubit = re.fullmatch(_QUBIT_KEY, key)
+        if qubit and qubit[2] in _QUBIT_FIELDS:
+            per_qubit.setdefault(int(qubit[1]), {})[qubit[2]] = _parse_float(key, value, line)
+        elif key in _GATE_FIELD_DEFAULTS:
+            gate_values[key] = _parse_float(key, value, line)
+        else:
+            raise ValueError(f"line {line}: unknown calibration key {key!r}")
 
     if per_qubit:
         count = max(per_qubit) + 1
@@ -156,34 +201,12 @@ def parse_profile(text: str) -> CalibrationProfile:
             raise ValueError(f"qubit keys must be contiguous from q0, got q{sorted(per_qubit)}")
     else:
         count = 1
-    try:
-        qubits = tuple(QubitCalibration(**per_qubit.get(i, {})) for i in range(count))
-        return CalibrationProfile(qubits, **gate_values)
-    except ValueError:
-        raise
-    except TypeError as exc:
-        raise ValueError(str(exc)) from exc
+    qubits = tuple(QubitCalibration(**per_qubit.get(i, {})) for i in range(count))
+    return CalibrationProfile(qubits, **gate_values)
 
 
 def load_profile(path: str | Path) -> CalibrationProfile:
     return parse_profile(Path(path).read_text(encoding="utf-8"))
-
-
-def dump_profile(profile: CalibrationProfile) -> str:
-    """Canonical document text; ``parse_profile`` round-trips it exactly."""
-    lines = [f"schema_version: {SCHEMA_VERSION}"]
-    for i, qubit in enumerate(profile.qubits):
-        for name in _QUBIT_FIELDS:
-            lines.append(f"q{i}_{name}: {_yaml_float(getattr(qubit, name))}")
-    for name in _GATE_FIELD_DEFAULTS:
-        lines.append(f"{name}: {_yaml_float(getattr(profile, name))}")
-    return "\n".join(lines) + "\n"
-
-
-def _yaml_float(value: float) -> str:
-    if math.isinf(value):
-        return ".inf"
-    return repr(value)
 
 
 def representative_profile() -> CalibrationProfile:

@@ -244,9 +244,6 @@ class DensityMatrix:
             out_index = (out_index << 1) | ((idx >> (n - 1 - q)) & 1)
         return np.bincount(out_index, weights=diag, minlength=2 ** len(targets))
 
-    def purity(self) -> float:
-        return float(np.trace(self.mat @ self.mat).real)
-
     def validate(self) -> "DensityMatrix":
         """Full state check including positive semidefiniteness; returns self."""
         DensityMatrix(self.num_qubits, self.mat)  # Hermiticity and unit trace

@@ -36,6 +36,11 @@ def rx_mat(angle: float) -> np.ndarray:
     return np.array([[c, -1.0j * s], [-1.0j * s, c]], dtype=complex)
 
 
+def purity(rho: np.ndarray) -> float:
+    """tr(rho^2)."""
+    return float(np.trace(rho @ rho).real)
+
+
 def rand_density(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
     """Random full-rank density matrix (Ginibre construction)."""
     g = rng.normal(size=(dim, dim)) + 1.0j * rng.normal(size=(dim, dim))

@@ -6,20 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edrsim.circuit import (
-    DEVICE_COUPLING,
-    DEVICE_LAYOUT,
     METER,
     PROBE_X,
     PROBE_Z,
     SYSTEM,
     Circuit,
-    CouplingMap,
     GateOp,
     angle_for_strength,
     build_edr_circuit,
     export_qasm,
     strength_for_angle,
-    validate_against_coupling,
 )
 
 
@@ -93,7 +89,6 @@ def test_edr_circuit_structure():
         (METER, "z_f"),
         (SYSTEM, "x_f"),
     )
-    assert circ.outcome_labels == ("z_i", "x_i", "z_f", "x_f")
 
 
 def test_edr_circuit_rejects_bad_angles():
@@ -103,34 +98,22 @@ def test_edr_circuit_rejects_bad_angles():
         build_edr_circuit(1.5, 3.0)
 
 
-def test_relabeled_requires_bijection():
-    circ = build_edr_circuit(1.5, 0.5)
-    with pytest.raises(ValueError):
-        circ.relabeled({0: 0, 1: 1, 2: 2, 3: 0})
-    moved = circ.relabeled(DEVICE_LAYOUT)
-    assert moved.ops[2].qubits == (DEVICE_LAYOUT[SYSTEM], DEVICE_LAYOUT[PROBE_Z])
-    assert moved.measured_qubits == tuple(
-        DEVICE_LAYOUT[q] for q in circ.measured_qubits
-    )
-
-
-def test_coupling_map_basics():
-    star = CouplingMap.star(1, [0, 2, 3])
-    assert star == DEVICE_COUPLING
-    assert star.connects(0, 1) and star.connects(1, 3)
-    assert not star.connects(0, 2)
-    with pytest.raises(ValueError):
-        CouplingMap.from_pairs([(2, 2)])
-
-
 def test_edr_circuit_fits_star_device_through_layout():
+    # a star device with hub 1 and leaves 0, 2, 3, as undirected edges
+    star = {frozenset(edge) for edge in ((0, 1), (1, 2), (1, 3))}
+    layout = {SYSTEM: 1, PROBE_Z: 0, PROBE_X: 2, METER: 3}
     circ = build_edr_circuit(angle_for_strength(0.05), angle_for_strength(0.3))
-    assert validate_against_coupling(circ, DEVICE_COUPLING, DEVICE_LAYOUT) == []
+    pairs = [op.qubits for op in circ.ops if op.kind == "cnot"]
+    # every CNOT touches the system, so with the system on the hub all of them fit
+    assert all(SYSTEM in pair for pair in pairs)
+    assert {frozenset(layout[q] for q in pair) for pair in pairs} <= star
     # identity placement cannot fit: the system talks to all three others
-    bad = validate_against_coupling(circ, DEVICE_COUPLING)
-    assert {op.qubits for op in bad} == {(SYSTEM, PROBE_X), (SYSTEM, METER)}
-    chain = CouplingMap.from_pairs([(0, 1), (1, 2), (2, 3)])
-    assert len(validate_against_coupling(circ, chain)) == 2
+    assert {pair for pair in pairs if frozenset(pair) not in star} == {
+        (SYSTEM, PROBE_X),
+        (SYSTEM, METER),
+    }
+    chain = {frozenset(edge) for edge in ((0, 1), (1, 2), (2, 3))}
+    assert sum(frozenset(pair) not in chain for pair in pairs) == 2
 
 
 def test_export_qasm_golden():

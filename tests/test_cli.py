@@ -79,6 +79,32 @@ def test_sweep_missing_noise_file_is_runtime_error():
     assert "error" in result.stderr.lower()
 
 
+def test_sweep_malformed_noise_file_names_the_line(tmp_path):
+    path = tmp_path / "profile.yaml"
+    path.write_text("schema_version: 1\nq0_t1_us: 50.0\nq0_t2_us: 0x1f\n", encoding="utf-8")
+    result = run_cli("sweep", "--grid", "2", "--mode", "exact", "--noise", str(path))
+    assert result.returncode == 2
+    assert "line 3: q0_t2_us: expected a number, got '0x1f'" in result.stderr
+
+
+def test_noisy_sweep_never_imports_yaml(tmp_path):
+    code = (
+        "import sys\n"
+        "import edrsim.cli\n"
+        "assert 'yaml' not in sys.modules, 'import edrsim.cli'\n"
+        "argv = ['sweep', '--noise', 'representative', '--mode', 'exact', '--grid', '2',\n"
+        "        '--out', sys.argv[1]]\n"
+        "assert edrsim.cli.main(argv) == 0\n"
+        "assert 'yaml' not in sys.modules, 'noisy sweep'\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "out.csv")],
+        capture_output=True, text=True, cwd=PKG_ROOT,
+    )
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "out.csv").read_text(encoding="utf-8").count("\n") == 3
+
+
 def test_sweep_output_dir_env(tmp_path):
     result = run_cli(
         "sweep", "--grid", "2", "--mode", "exact", "--out", "runs/out.csv",

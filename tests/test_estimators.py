@@ -112,7 +112,7 @@ def test_frozen_point_values():
 def test_run_circuit_noiseless_is_pure():
     circ = build_edr_circuit(THETA_W, angle_for_strength(0.4))
     state = run_circuit(circ)
-    assert abs(state.purity() - 1.0) < 1e-12
+    assert abs(helpers.purity(state.mat) - 1.0) < 1e-12
 
 
 def test_estimate_rejects_zero_probe_strength():

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
+from edrsim import measurement
 from edrsim.measurement import (
     IndirectMeasurement,
     PovmPair,
@@ -24,7 +25,7 @@ def test_reference_state_is_minus_y_eigenstate():
     assert state.expectation(Y) == -1.0
     assert state.expectation(Z) == 0.0
     assert state.expectation(X) == 0.0
-    assert abs(state.purity() - 1.0) < 1e-15
+    assert abs(helpers.purity(state.mat) - 1.0) < 1e-15
 
 
 def test_commutator_bound_is_exactly_one():
@@ -144,6 +145,12 @@ def test_measuring_z_does_not_disturb_z():
         meas = IndirectMeasurement.z_through_meter(s)
         assert np.abs(meas.disturbance_operator(Z)).max() < 1e-12
         assert np.abs(meas.disturbance_operator(X)).max() > 0.5
+
+
+def test_fixed_operators_are_the_indirect_measurement_ones():
+    meas = IndirectMeasurement.z_through_meter(1.0)
+    assert np.array_equal(measurement._Z_NOISE_OP, meas.noise_operator())
+    assert np.array_equal(measurement._X_DISTURBANCE_OP, meas.disturbance_operator(X))
 
 
 def test_projective_limit():

@@ -1,7 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml  # the test extra: PyYAML is the reference reading of a calibration document
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from edrsim.circuit import GateOp, angle_for_strength
@@ -13,7 +17,6 @@ from edrsim.noise import (
     compile_noise,
     confusion_matrix,
     depolarizing_channel,
-    dump_profile,
     load_profile,
     parse_profile,
     representative_profile,
@@ -59,12 +62,170 @@ def test_parse_rejects_bad_inputs():
     assert parse_profile("schema_version: 1\n").num_qubits == 1
 
 
-def test_dump_parse_roundtrip():
+# The packaged profile written as flat lines, one repr per value.
+PACKAGED_AS_FLAT_LINES = """\
+schema_version: 1
+q0_t1_us: 82.0
+q0_t2_us: 58.0
+q0_readout_error_01: 0.029
+q0_readout_error_10: 0.032
+q1_t1_us: 95.0
+q1_t2_us: 74.0
+q1_readout_error_01: 0.016
+q1_readout_error_10: 0.018
+q2_t1_us: 86.0
+q2_t2_us: 63.0
+q2_readout_error_01: 0.027
+q2_readout_error_10: 0.03
+q3_t1_us: 90.0
+q3_t2_us: 68.0
+q3_readout_error_01: 0.016
+q3_readout_error_10: 0.017
+single_qubit_gate_error: 0.0004
+cnot_error: 0.008
+single_qubit_gate_duration_ns: 35.0
+cnot_duration_ns: 300.0
+readout_duration_ns: 700.0
+"""
+
+
+def test_flat_lines_of_packaged_profile_parse_back_equal():
     profile = representative_profile()
-    text = dump_profile(profile)
-    again = parse_profile(text)
-    assert again == profile
-    assert text.splitlines()[0] == "schema_version: 1"
+    assert parse_profile(PACKAGED_AS_FLAT_LINES) == profile
+    infinite = PACKAGED_AS_FLAT_LINES.replace("q3_t1_us: 90.0", "q3_t1_us: .inf").replace(
+        "q3_t2_us: 68.0", "q3_t2_us: .inf"
+    )
+    qubits = profile.qubits[:3] + (QubitCalibration(math.inf, math.inf, 0.016, 0.017),)
+    assert parse_profile(infinite) == replace(profile, qubits=qubits)
+
+
+def pyyaml_profile(text):
+    """The profile PyYAML's reading of a flat document gives, or None where it is rejected."""
+    try:
+        doc = yaml.safe_load(text)
+    except yaml.YAMLError:
+        return None
+    if not isinstance(doc, dict) or doc.pop("schema_version", None) != 1:
+        return None
+    per_qubit, gate_values = {}, {}
+    for key, value in doc.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return None
+        head, _, name = key.partition("_")
+        if head[0] == "q" and head[1:].isdigit():
+            per_qubit.setdefault(int(head[1:]), {})[name] = float(value)
+        else:
+            gate_values[key] = float(value)
+    try:
+        qubits = tuple(QubitCalibration(**per_qubit[i]) for i in range(len(per_qubit)))
+        return CalibrationProfile(qubits, **gate_values)
+    except ValueError:
+        return None
+
+
+def reader_profile(text):
+    try:
+        return parse_profile(text)
+    except ValueError:
+        return None
+
+
+INF_SPELLINGS = (".inf", ".Inf", ".INF", "+.inf", "+.Inf", "+.INF")
+PRINTABLE_COMMENT_TEXT = st.text(
+    st.characters(min_codepoint=0x20, max_codepoint=0x7E) | st.sampled_from("\tµéΩ−…")
+)
+
+
+@st.composite
+def spelled(draw, values):
+    """A value and one of the ways a flat document may spell it."""
+    value = draw(values)
+    if isinstance(value, int):
+        return draw(st.sampled_from((str(value), f"+{value}")))
+    if math.isinf(value):
+        return draw(st.sampled_from(INF_SPELLINGS))
+    # repr gives '1e-05' for small values: a string to YAML and to the reader alike
+    return draw(st.sampled_from((repr(value), f"+{value!r}", f"{value:.17e}")))
+
+
+def probabilities():
+    return spelled(st.floats(0.0, 1.0) | st.integers(0, 1))
+
+
+def durations():
+    return spelled(st.floats(1e-3, 1e6) | st.integers(1, 10**6))
+
+
+@st.composite
+def flat_documents(draw, comment_text):
+    """Valid flat calibration documents with varied layout, comments and number forms."""
+    entries = [("schema_version", draw(st.sampled_from(("1", "+1", "1.0"))))]
+    for q in range(draw(st.integers(1, 2))):
+        t1_inf = draw(st.booleans())
+        t1 = st.just(math.inf) if t1_inf else st.floats(50.0, 1e6) | st.integers(50, 10**6)
+        t2 = st.floats(1e-3, 100.0) | st.integers(1, 100)  # <= 2 t1 always
+        entries += [
+            (f"q{q}_t1_us", draw(spelled(t1))),
+            (f"q{q}_t2_us", draw(spelled(t2 | st.just(math.inf) if t1_inf else t2))),
+            (f"q{q}_readout_error_01", draw(probabilities())),
+            (f"q{q}_readout_error_10", draw(probabilities())),
+        ]
+    for name in ("single_qubit_gate_error", "cnot_error"):
+        if draw(st.booleans()):
+            entries.append((name, draw(probabilities())))
+    for name in ("single_qubit_gate_duration_ns", "cnot_duration_ns", "readout_duration_ns"):
+        if draw(st.booleans()):
+            entries.append((name, draw(durations())))
+    spaces = st.integers(0, 3).map(" ".__mul__)
+    comment = st.builds("{}#{}".format, spaces, comment_text)
+    lines = []
+    for key, value in draw(st.permutations(entries)):
+        lines += draw(st.lists(st.one_of(spaces, comment), max_size=2))
+        tail = draw(st.sampled_from(("", " ", "  ")))
+        if tail and draw(st.booleans()):
+            tail += "#" + draw(comment_text)
+        lines.append(f"{key}:{' ' * draw(st.integers(1, 3))}{value}{tail}")
+    newline = draw(st.sampled_from(("\n", "\r\n")))
+    return newline.join(lines) + draw(st.sampled_from(("", newline)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(flat_documents(PRINTABLE_COMMENT_TEXT))
+def test_reader_agrees_with_pyyaml_on_flat_documents(text):
+    assert reader_profile(text) == pyyaml_profile(text)
+
+
+@settings(max_examples=50, deadline=None)
+@given(flat_documents(st.text()))
+def test_reader_accepts_only_what_pyyaml_reads_the_same(text):
+    # comments may hold any character, line breaks YAML knows included
+    profile = reader_profile(text)
+    if profile is not None:
+        assert profile == pyyaml_profile(text)
+
+
+@pytest.mark.parametrize(
+    "text, line, yaml_reads",
+    [
+        ("schema_version: 1\nq0_t1_us: 017\n", 2, 15),
+        ("schema_version: 1\nq0_t1_us: 0x1f\n", 2, 31),
+        ("schema_version: 1\nq0_t1_us: 1_000.0\n", 2, 1000.0),
+        ("schema_version: 1\nq0_t1_us: 1:30\n", 2, 90),
+        ("schema_version: 1\nq0_t1_us: 50.0\nq0_t1_us: 60.0\n", 3, 60.0),
+        ("schema_version: 1\nq0_t1_us: 50.0\nq00_t1_us: 60.0\n", 3, None),
+        ("schema_version: 1\nq0:\n  t1_us: 50.0\n", 2, None),
+        ("schema_version: 1\n{q0_t1_us: 50.0}\n", 2, None),
+        ("---\nschema_version: 1\nq0_t1_us: 50.0\n", 1, 50.0),
+        ("schema_version: 1\n  q0_t1_us: 50.0\n", 2, None),
+        ("schema_version: 1\nq0_t1_us : 50.0\n", 2, 50.0),
+        ("schema_version: 1\nq0_t1_us: 50.0 # note\rq0_t2_us: 40.0\n", 2, 50.0),
+    ],
+)
+def test_reader_rejects_narrowed_forms_naming_the_line(text, line, yaml_reads):
+    with pytest.raises(ValueError, match=rf"^line {line}: "):
+        parse_profile(text)
+    if yaml_reads is not None:
+        assert yaml.safe_load(text)["q0_t1_us"] == yaml_reads
 
 
 def test_qubit_calibration_validation():
