@@ -13,8 +13,8 @@ The register order is fixed:
 The system itself is read out in the X basis at the end (label x_f).
 Measurement strengths are parameterised as s = cos(angle) of the probe
 or meter preparation rotation, so angle pi/2 means "no measurement" and
-angle 0 a projective one.  ``angle_for_strength``/``strength_for_angle``
-are the only places that conversion lives.
+angle 0 a projective one.  ``angle_for_strength`` is the only place that
+conversion lives.
 """
 
 from __future__ import annotations
@@ -39,13 +39,6 @@ def angle_for_strength(strength: float) -> float:
     if not 0.0 <= strength <= 1.0:
         raise ValueError(f"measurement strength {strength} outside [0, 1]")
     return math.acos(strength)
-
-
-def strength_for_angle(angle: float) -> float:
-    """Inverse of :func:`angle_for_strength` for angles in [0, pi/2]."""
-    if not 0.0 <= angle <= math.pi / 2.0 + 1e-12:
-        raise ValueError(f"angle {angle} outside [0, pi/2]")
-    return math.cos(angle)
 
 
 @dataclass(frozen=True)

@@ -120,14 +120,6 @@ class KrausChannel:
             raise ValueError(f"Kraus operators are not complete (deviation {dev:.3e})")
         object.__setattr__(self, "superop", _superoperator(np.array(ops)))
 
-    @property
-    def dim(self) -> int:
-        return self.operators[0].shape[0]
-
-    @property
-    def num_qubits(self) -> int:
-        return int(round(np.log2(self.dim)))
-
 
 @dataclass(frozen=True)
 class DensityMatrix:

@@ -1,9 +1,9 @@
 """Fast internal consistency battery behind ``edrsim check``.
 
 Each check is independent, takes well under a second, and raises on
-failure; a check that measures a residual returns it as a short detail
-string.  ``run_checks`` collects pass/fail results so the CLI can print
-one line per check and exit nonzero if anything broke.
+failure; on success it returns the residual it asserts on as a short
+detail string.  ``run_checks`` collects pass/fail results so the CLI can
+print one line per check and exit nonzero if anything broke.
 """
 
 from __future__ import annotations
@@ -40,12 +40,12 @@ def _random_state(rng: np.random.Generator) -> DensityMatrix:
     return DensityMatrix(1, mat / np.trace(mat).real)
 
 
-def _check_unitaries() -> None:
-    for angle in np.linspace(0.0, math.pi, 7):
-        for gate in (ry(angle),):
-            residue = np.abs(gate.conj().T @ gate - np.eye(2)).max()
-            assert residue < ATOL, f"ry({angle}) not unitary: {residue}"
+def _check_unitaries() -> str:
+    gates = [ry(angle) for angle in np.linspace(0.0, math.pi, 7)]
+    worst = max(float(np.abs(g.conj().T @ g - np.eye(2)).max()) for g in gates)
+    assert worst < ATOL, f"ry not unitary: {worst}"
     assert np.array_equal(CNOT @ CNOT, np.eye(4))
+    return f"max |U^dag U - 1| {worst:.2g}"
 
 
 def _check_closed_forms() -> str:
@@ -72,8 +72,9 @@ def _check_sweep_basis() -> str:
     return f"max |dp| {worst:.2g}"
 
 
-def _check_meter_statistics() -> None:
+def _check_meter_statistics() -> str:
     rng = np.random.default_rng(7)
+    worst = 0.0
     for s in (0.0, 0.3, 1.0):
         meas = IndirectMeasurement.z_through_meter(s)
         povm = build_povm(s)
@@ -82,41 +83,53 @@ def _check_meter_statistics() -> None:
             joint = meas.composite(state).apply_unitary(meas.interaction, (0, 1))
             probs = joint.probabilities([1])
             want = povm.probabilities(state)
-            assert np.abs(probs - np.asarray(want)).max() < 1e-10
+            dev = float(np.abs(probs - np.asarray(want)).max())
+            assert dev < 1e-10, f"max |dp| {dev:.3g} at s={s}"
+            worst = max(worst, dev)
+    return f"max |dp| {worst:.2g}"
 
 
-def _check_weak_value_bias() -> None:
+def _check_weak_value_bias() -> str:
     theta_w = angle_for_strength(0.05)
     budget = 2.0 * (1.0 - math.sin(theta_w)) + 1e-9
     state = reference_input_state()
+    worst = 0.0
     for s in np.linspace(0.0, 1.0, 11):
         eps_sq, eta_sq = weak_valued_squares(
             outcome_distribution(theta_w, angle_for_strength(s)), theta_w
         )
         eps, eta = exact_error(state, s), exact_disturbance(state, s)
-        assert abs(eps_sq - eps * eps) <= budget
-        assert abs(eta_sq - eta * eta) <= budget
+        worst = max(worst, abs(eps_sq - eps * eps), abs(eta_sq - eta * eta))
+        assert worst <= budget, f"max |d| {worst:.3g} over budget {budget:.3g} at s={s}"
+    return f"max |d| {worst:.6g}, budget {budget:.6g}"
 
 
-def _check_ideal_saturation() -> None:
+def _check_ideal_saturation() -> str:
     state = reference_input_state()
+    worst = 0.0
     for s in np.linspace(0.0, 1.0, 9):
         inputs = EdrInputs(exact_error(state, s), exact_disturbance(state, s), 1.0, 1.0, 1.0)
         report = classify(inputs)
-        assert abs(report.strong_branciard_lhs - 1.0) < 1e-9, f"saturation at s={s}"
+        dev = abs(report.strong_branciard_lhs - 1.0)
+        assert dev < 1e-9, f"saturation at s={s}: |lhs - 1| {dev:.3g}"
         assert report.satisfied["ozawa"] and report.satisfied["branciard"]
+        worst = max(worst, dev)
+    return f"max |lhs - 1| {worst:.2g}"
 
 
-def _check_effective_bound() -> None:
-    assert abs(effective_bound(0.0)) < 1e-12
-    assert abs(effective_bound(math.pi / 2) - 1.0) < 1e-12
+def _check_effective_bound() -> str:
+    at_zero = abs(effective_bound(0.0))
+    at_right = abs(effective_bound(math.pi / 2) - 1.0)
+    assert at_zero < 1e-12, at_zero
+    assert at_right < 1e-12, at_right
     weak = effective_bound(angle_for_strength(0.05))
     assert abs(weak - 0.99501246882793) < 5e-12, weak
     state = reference_input_state()
     assert commutator_bound(state, Z, X) == 1.0
+    return f"|d| at 0 {at_zero:.2g}, at pi/2 {at_right:.2g}"
 
 
-def _check_sampling_determinism() -> None:
+def _check_sampling_determinism() -> str:
     probs = outcome_distribution(angle_for_strength(0.05), angle_for_strength(0.5))
     # the sweep's own entropy: (seed, point index)
     first = sample_counts(probs, 2000, [12345, 3], 2)
@@ -125,21 +138,23 @@ def _check_sampling_determinism() -> None:
     assert not np.array_equal(first[0], first[1])
     assert np.all(first.sum(axis=1) == 2000)
     assert np.all(first[:, np.asarray(probs) <= 0.0] == 0)
+    return "identical; repeats differ"
 
 
-def _check_representative_profile() -> None:
+def _check_representative_profile() -> str:
     profile = representative_profile()
     model = compile_noise(profile)
     assert model.profile.num_qubits == 4
     circuit = build_edr_circuit(angle_for_strength(0.05), angle_for_strength(0.5))
     for op in circuit.ops:
         assert model.channels_after(op, circuit.num_qubits)
-    for qubit in range(4):
-        cols = confusion_matrix(profile.qubits[qubit]).sum(axis=0)
-        assert np.abs(cols - 1.0).max() < 1e-12
+    sums = [confusion_matrix(profile.qubits[qubit]).sum(axis=0) for qubit in range(4)]
+    worst = float(np.abs(np.array(sums) - 1.0).max())
+    assert worst < 1e-12, f"confusion column sums off by {worst:.3g}"
+    return f"max |column sum - 1| {worst:.2g}"
 
 
-CHECKS: tuple[tuple[str, Callable[[], str | None]], ...] = (
+CHECKS: tuple[tuple[str, Callable[[], str]], ...] = (
     ("gate matrices are unitary", _check_unitaries),
     ("closed-form error and disturbance curves", _check_closed_forms),
     ("sweep basis matches per-point evolution", _check_sweep_basis),
@@ -153,7 +168,7 @@ CHECKS: tuple[tuple[str, Callable[[], str | None]], ...] = (
 
 
 def run_checks() -> list[tuple[str, bool, str]]:
-    """(name, passed, detail) for every check; on success, detail is the residual or empty."""
+    """(name, passed, detail) for every check; on success, detail is the residual."""
     results = []
     for name, check in CHECKS:
         try:
@@ -161,5 +176,5 @@ def run_checks() -> list[tuple[str, bool, str]]:
         except Exception as exc:  # report, never crash the battery
             results.append((name, False, f"{type(exc).__name__}: {exc}"))
         else:
-            results.append((name, True, detail or ""))
+            results.append((name, True, detail))
     return results

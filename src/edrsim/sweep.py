@@ -9,6 +9,10 @@ the estimate and the root-mean-square scatter of the repeat values as
 the error bar; left-hand-side scatter columns let consumers form
 statistical margins as rms / sqrt(repeats).
 
+Rows are ``SweepResultRow`` named tuples whose field order is the CSV
+column order.  Each output format writes a row through one template,
+built at import from the field types.
+
 Determinism: each strength point has one random stream, seeded by
 (seed, point index) only, that draws all its repeats in one multinomial
 call, so results are byte-identical for a given configuration.  The sweep
@@ -20,7 +24,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import repeat
+from typing import NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
@@ -86,8 +91,7 @@ class SweepConfig:
             raise ValueError(f"sigma_source {self.sigma_source!r} not in {SIGMA_SOURCES}")
 
 
-@dataclass(frozen=True)
-class SweepResultRow:
+class SweepResultRow(NamedTuple):
     strength: float
     method: str
     epsilon_mean: float
@@ -115,7 +119,7 @@ class SweepResultRow:
     repeats: int
 
 
-CSV_COLUMNS = tuple(f.name for f in SweepResultRow.__dataclass_fields__.values())
+CSV_COLUMNS = SweepResultRow._fields
 
 
 def post_probe_system_state(theta_w: float, noise: NoiseModel | None = None) -> DensityMatrix:
@@ -171,13 +175,17 @@ def run_sweep(cfg: SweepConfig) -> list[SweepResultRow]:
     profile = cfg.noise_profile
     model = None if profile is None else compile_noise(profile, include_idle=cfg.include_idle)
     basis, prefix_state = readout_basis(theta_w, model)
-    probe_state = post_probe_system_state(theta_w)
+    # without noise the evolved prefix already is the ideal post-probe state
+    probe_state = (
+        prefix_state.partial_trace([SYSTEM]) if model is None else post_probe_system_state(theta_w)
+    )
     sigma_state = (
         reference_input_state() if cfg.sigma_source == "ideal" else prefix_state.partial_trace([SYSTEM])
     )
     sigmas = (standard_deviation(sigma_state, Z), standard_deviation(sigma_state, X))
     c = edr_bounds.effective_bound(theta_w)
-    refs = [(exact_error(probe_state, s), exact_disturbance(probe_state, s)) for s in cfg.strengths]
+    eps_refs = [exact_error(probe_state, s) for s in cfg.strengths]
+    eta_refs = [exact_disturbance(probe_state, s) for s in cfg.strengths]
     # per point, not one (points, 3) @ (3, 16) product: a batched product
     # rounds differently and would move the exact rows' bits
     probs = [basis_probabilities(basis, s) for s in cfg.strengths]
@@ -193,57 +201,51 @@ def run_sweep(cfg: SweepConfig) -> list[SweepResultRow]:
     rows = []
     for method, shots, squares in blocks:
         columns = _row_statistics(squares, sigmas, c)
-        for i, (strength, (eps_ref, eta_ref)) in enumerate(zip(cfg.strengths, refs)):
-            rows.append(SweepResultRow(
-                strength=strength,
-                method=method,
-                epsilon_exact=eps_ref,
-                eta_exact=eta_ref,
-                sigma_a=sigmas[0],
-                sigma_b=sigmas[1],
-                c=c,
-                shots=shots,
-                repeats=squares.shape[1],
-                **{name: values[i] for name, values in columns.items()},
-            ))
+        columns.update(strength=cfg.strengths, epsilon_exact=eps_refs, eta_exact=eta_refs)
+        constant = dict(method=method, sigma_a=sigmas[0], sigma_b=sigmas[1], c=c, shots=shots,
+                        repeats=squares.shape[1])
+        columns.update((name, repeat(value)) for name, value in constant.items())
+        rows.extend(map(SweepResultRow, *(columns[name] for name in CSV_COLUMNS)))
     return rows
 
 
-def _format_cell(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+_COLUMN_TYPES = tuple(get_type_hints(SweepResultRow).values())
+_BOOL_CELLS = tuple(i for i, kind in enumerate(_COLUMN_TYPES) if kind is bool)
+_STR_CELLS = tuple(i for i, kind in enumerate(_COLUMN_TYPES) if kind is str)
+# one format field per column: 17 significant digits for floats, str() for the rest
+_CELL_SPECS = tuple("{:.17g}" if kind is float else "{}" for kind in _COLUMN_TYPES)
+_CSV_ROW = ",".join(_CELL_SPECS)
+_JSON_ROW = "\n    {{" + ", ".join(
+    f"{json.dumps(name)}: {spec}" for name, spec in zip(CSV_COLUMNS, _CELL_SPECS)
+) + "}}"
+
+
+def _cells(row: SweepResultRow, quote: bool) -> list:
+    """The row's values with booleans spelled ``true``/``false`` and, for JSON, strings quoted."""
+    cells = list(row)
+    for i in _BOOL_CELLS:
+        cells[i] = "true" if cells[i] else "false"
+    if quote:
+        for i in _STR_CELLS:
+            cells[i] = json.dumps(cells[i])
+    return cells
 
 
 def emit_csv(rows: Sequence[SweepResultRow]) -> str:
     """Deterministic CSV text: fixed column order, 17-significant-digit floats, LF endings."""
-    lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_format_cell(getattr(row, col)) for col in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+    lines = (_CSV_ROW.format(*_cells(row, False)) for row in rows)
+    return "\n".join([",".join(CSV_COLUMNS), *lines]) + "\n"
 
 
 def _jdump(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    """JSON text of the config summary, floats to 17 significant digits as in the rows."""
     if isinstance(value, float):
         return f"{value:.17g}"
-    if isinstance(value, str):
-        return json.dumps(value)
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_jdump(v) for v in value) + "]"
     if isinstance(value, dict):
-        parts = (f"{json.dumps(str(k))}: {_jdump(v)}" for k, v in value.items())
-        return "{" + ", ".join(parts) + "}"
-    raise TypeError(f"cannot serialise {type(value)!r}")
+        return "{" + ", ".join(f"{json.dumps(k)}: {_jdump(v)}" for k, v in value.items()) + "}"
+    return json.dumps(value, default=int)  # bool, int, str, None; numpy integers by int()
 
 
 def config_summary(cfg: SweepConfig) -> dict:
@@ -262,15 +264,11 @@ def config_summary(cfg: SweepConfig) -> dict:
 
 def emit_json(rows: Sequence[SweepResultRow], config: SweepConfig | None = None) -> str:
     """Schema-versioned JSON envelope with the same values as the CSV form."""
-    lines = ["{", '  "schema_version": 1,']
     summary = config_summary(config) if config is not None else None
-    lines.append(f'  "config": {_jdump(summary)},')
-    lines.append('  "rows": [')
-    keys = [(col, json.dumps(col)) for col in CSV_COLUMNS]
-    for pos, row in enumerate(rows):
-        cells = ", ".join(f"{key}: {_jdump(getattr(row, col))}" for col, key in keys)
-        comma = "," if pos + 1 < len(rows) else ""
-        lines.append("    {" + cells + "}" + comma)
-    lines.append("  ]")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    # each row template starts its own line, so no rows leave "[" and "]" on adjacent lines
+    body = ",".join(_JSON_ROW.format(*_cells(row, True)) for row in rows)
+    return (
+        '{\n  "schema_version": 1,\n'
+        f'  "config": {_jdump(summary)},\n'
+        f'  "rows": [{body}\n  ]\n}}\n'
+    )

@@ -2,11 +2,14 @@
 
 Everything here is literal numpy on explicit matrices, written without
 the package's own linear-algebra helpers, so agreement between the two
-paths is evidence rather than tautology.
+paths is evidence rather than tautology.  The sweep-output oracles format
+each cell by dispatching on its value's type, one cell at a time, where the
+package writes a whole row through one precompiled template.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -253,3 +256,70 @@ def oracle_row_stats(squares, sigma_a: float, sigma_b: float, c: float) -> dict:
         stats[f"{name}_rms"] = rms([values[name] for values in per_repeat], lhs)
         stats[f"{name}_satisfied"] = lhs >= c - 1e-9
     return stats
+
+
+# The sweep's 25 output columns, in order, written out literally.
+SWEEP_COLUMNS = (
+    "strength", "method", "epsilon_mean", "epsilon_rms", "eta_mean", "eta_rms",
+    "epsilon_exact", "eta_exact", "sigma_a", "sigma_b", "c",
+    "heisenberg_lhs", "heisenberg_rms", "heisenberg_satisfied",
+    "ozawa_lhs", "ozawa_rms", "ozawa_satisfied",
+    "branciard_lhs", "branciard_rms", "branciard_satisfied",
+    "strong_branciard_lhs", "strong_branciard_rms", "strong_branciard_satisfied",
+    "shots", "repeats",
+)
+
+
+def oracle_csv_cell(value: object) -> str:
+    """One CSV cell, chosen by the value's own type."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def oracle_json_value(value: object) -> str:
+    """One JSON value, chosen by the value's own type, recursing into lists and dicts."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(oracle_json_value(v) for v in value) + "]"
+    if isinstance(value, dict):
+        parts = (f"{json.dumps(str(k))}: {oracle_json_value(v)}" for k, v in value.items())
+        return "{" + ", ".join(parts) + "}"
+    raise TypeError(f"cannot serialise {type(value)!r}")
+
+
+def oracle_emit_csv(rows) -> str:
+    """Sweep CSV text: the header, then one line of cells per row, LF endings."""
+    lines = [",".join(SWEEP_COLUMNS)]
+    for row in rows:
+        lines.append(",".join(oracle_csv_cell(getattr(row, col)) for col in SWEEP_COLUMNS))
+    return "\n".join(lines) + "\n"
+
+
+def oracle_emit_json(rows, summary: dict | None) -> str:
+    """Sweep JSON text: the schema-1 envelope around ``summary`` and one object per row."""
+    lines = ["{", '  "schema_version": 1,']
+    lines.append(f'  "config": {oracle_json_value(summary)},')
+    lines.append('  "rows": [')
+    for pos, row in enumerate(rows):
+        cells = ", ".join(
+            f"{json.dumps(col)}: {oracle_json_value(getattr(row, col))}" for col in SWEEP_COLUMNS
+        )
+        comma = "," if pos + 1 < len(rows) else ""
+        lines.append("    {" + cells + "}" + comma)
+    lines.append("  ]")
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -164,6 +164,8 @@ def test_check_subcommand_passes():
     lines = result.stdout.strip().splitlines()
     assert lines[-1].startswith("all ")
     assert all(line.startswith("ok") for line in lines[:-1])
+    # every check reports the residual it asserts on
+    assert all(line.endswith(")") for line in lines[:-1])
     for name in ("closed-form error and disturbance", "sweep basis matches per-point"):
         (line,) = [line for line in lines if name in line]
         assert line.endswith(")") and "(max |d" in line

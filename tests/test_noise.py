@@ -344,7 +344,7 @@ def test_noise_model_channel_placement():
     kinds = with_idle.channels_after(cnot, 4)
     assert len(kinds) == 5
     assert kinds[0][1] == (0, 3)
-    assert kinds[0][0].num_qubits == 2
+    assert kinds[0][0].superop.shape == (16, 16)  # a two-qubit channel
     with pytest.raises(ValueError):
         compile_noise(parse_profile(MINIMAL_YAML)).channels_after(op, 4)
 

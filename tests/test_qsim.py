@@ -166,7 +166,7 @@ def test_kraus_channel_validation():
     with pytest.raises(ValueError):
         KrausChannel((0.5 * I2,))
     flip = KrausChannel((math.sqrt(0.75) * I2, math.sqrt(0.25) * X))
-    assert flip.num_qubits == 1
+    assert flip.superop.shape == (4, 4)  # a one-qubit channel
     state = DensityMatrix.ground(1).apply_channel(flip, [0])
     assert abs(state.expectation(Z) - 0.5) < 1e-12
 

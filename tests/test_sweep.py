@@ -1,14 +1,17 @@
 import json
 import math
+from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 import edrsim.bounds
 import edrsim.sweep
 from edrsim.bounds import effective_bound
-from edrsim.circuit import angle_for_strength
+from edrsim.circuit import SYSTEM, angle_for_strength
 from edrsim.estimators import (
     basis_probabilities,
     outcome_distribution,
@@ -22,6 +25,8 @@ from edrsim.qsim import DensityMatrix, X, Z
 from edrsim.sweep import (
     CSV_COLUMNS,
     SweepConfig,
+    SweepResultRow,
+    config_summary,
     default_strength_grid,
     emit_csv,
     emit_json,
@@ -201,15 +206,24 @@ def test_evolution_count_does_not_scale_with_grid(monkeypatch):
         return original(self, u, targets)
 
     monkeypatch.setattr(DensityMatrix, "apply_unitary", counting)
-    counts = []
-    for points in (11, 201):
-        calls.clear()
-        cfg = small_config(
-            strengths=default_strength_grid(points), noise_profile=representative_profile()
-        )
-        assert len(run_sweep(cfg)) == points
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+    for profile, want in ((representative_profile(), 23), (None, 16)):
+        counts = []
+        for points in (11, 201):
+            calls.clear()
+            cfg = small_config(strengths=default_strength_grid(points), noise_profile=profile)
+            assert len(run_sweep(cfg)) == points
+            counts.append(len(calls))
+        # the 7-gate prefix and 3 x 3 meter tails; a noisy sweep evolves the
+        # ideal prefix once more for the exact reference curves
+        assert counts == [want, want]
+
+
+def test_ideal_reference_state_is_the_evolved_prefix():
+    for strength in (0.05, 0.3, 0.7, 1.0):
+        theta_w = angle_for_strength(strength)
+        _, prefix_state = readout_basis(theta_w)
+        from_prefix = prefix_state.partial_trace([SYSTEM]).mat
+        assert np.array_equal(from_prefix, post_probe_system_state(theta_w).mat)
 
 
 def test_sampler_draws_once_per_point(monkeypatch):
@@ -297,3 +311,70 @@ def test_noisy_sweep_keeps_valid_flags():
         assert row.strong_branciard_satisfied
     text = emit_json(rows, cfg)
     assert json.loads(text)["config"]["noise"] == "representative"
+
+
+def test_row_type_fixes_the_column_order():
+    assert CSV_COLUMNS == SweepResultRow._fields == helpers.SWEEP_COLUMNS
+    row = run_sweep(small_config(strengths=(0.5,)))[0]
+    with pytest.raises(AttributeError):
+        row.strength = 0.25
+    with pytest.raises(TypeError):
+        row[0] = 0.25
+
+
+ROADMAP_CONFIGS = (
+    SweepConfig(mode="both", seed=12345),
+    SweepConfig(
+        strengths=default_strength_grid(11), shots=1_000_000, repeats=4, mode="both",
+        noise_profile=representative_profile(), noise_path="representative",
+        sigma_source="simulated",
+    ),
+    SweepConfig(
+        strengths=default_strength_grid(41), mode="exact",
+        noise_profile=representative_profile(), noise_path="representative",
+    ),
+)
+
+
+@pytest.mark.parametrize("cfg", ROADMAP_CONFIGS, ids=("ideal-both", "noisy-both", "noisy-exact"))
+def test_emitters_match_cell_oracles_on_sweep_rows(cfg):
+    rows = run_sweep(cfg)
+    assert emit_csv(rows) == helpers.oracle_emit_csv(rows)
+    assert emit_json(rows, cfg) == helpers.oracle_emit_json(rows, config_summary(cfg))
+    assert emit_json(rows) == helpers.oracle_emit_json(rows, None)
+
+
+EDGE_FLOATS = (
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 0.1,
+)
+CELL_VALUES = {
+    float: st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=True, allow_infinity=True)),
+    bool: st.booleans(),
+    int: st.integers(0, 2**63),
+    str: st.sampled_from(("exact", "sampled")),
+}
+ROWS = st.lists(
+    st.tuples(*(CELL_VALUES[kind] for kind in get_type_hints(SweepResultRow).values())).map(
+        SweepResultRow._make
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ROWS)
+def test_emitters_match_cell_oracles_on_typed_rows(rows):
+    assert emit_csv(rows) == helpers.oracle_emit_csv(rows)
+    assert emit_json(rows) == helpers.oracle_emit_json(rows, None)
+    cfg = small_config()
+    assert emit_json(rows, cfg) == helpers.oracle_emit_json(rows, config_summary(cfg))
+
+
+def test_emitters_on_no_rows():
+    assert emit_csv([]) == helpers.oracle_emit_csv([]) == ",".join(CSV_COLUMNS) + "\n"
+    cfg = small_config()
+    assert emit_json([]) == helpers.oracle_emit_json([], None)
+    assert emit_json([], cfg) == helpers.oracle_emit_json([], config_summary(cfg))
+    numpy_ints = small_config(seed=np.int64(3), shots=np.int32(10), repeats=np.uint8(2))
+    assert emit_json([], numpy_ints) == helpers.oracle_emit_json([], config_summary(numpy_ints))
+    assert emit_json([]).endswith('  "rows": [\n  ]\n}\n')
