@@ -90,33 +90,14 @@ def effective_bound(theta_w: float) -> float:
 
 @dataclass(frozen=True)
 class EdrReport:
-    """The four left-hand sides and satisfied flags, arrays for array inputs."""
+    """Each relation's left-hand side and satisfied flag by name, arrays for array inputs."""
 
-    inputs: EdrInputs
-    heisenberg_lhs: float
-    ozawa_lhs: float
-    branciard_lhs: float
-    strong_branciard_lhs: float
-    satisfied: dict[str, bool]
-
-    def lhs(self, name: str) -> float:
-        return getattr(self, f"{name}_lhs")
+    lhs: dict[str, float | np.ndarray]
+    satisfied: dict[str, bool | np.ndarray]
 
 
 def classify(inputs: EdrInputs) -> EdrReport:
     """Evaluate all four relations and flag each against c - 1e-9."""
-    values = {
-        "heisenberg": heisenberg_lhs(inputs),
-        "ozawa": ozawa_lhs(inputs),
-        "branciard": branciard_lhs(inputs),
-        "strong_branciard": strong_branciard_lhs(inputs),
-    }
-    satisfied = {name: values[name] >= inputs.c - SATISFIED_TOL for name in BOUND_NAMES}
-    return EdrReport(
-        inputs=inputs,
-        heisenberg_lhs=values["heisenberg"],
-        ozawa_lhs=values["ozawa"],
-        branciard_lhs=values["branciard"],
-        strong_branciard_lhs=values["strong_branciard"],
-        satisfied=satisfied,
-    )
+    formulas = (heisenberg_lhs, ozawa_lhs, branciard_lhs, strong_branciard_lhs)
+    lhs = {name: formula(inputs) for name, formula in zip(BOUND_NAMES, formulas)}
+    return EdrReport(lhs, {name: v >= inputs.c - SATISFIED_TOL for name, v in lhs.items()})

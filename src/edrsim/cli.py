@@ -167,9 +167,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     inputs = EdrInputs(args.epsilon, args.eta, args.sigma_a, args.sigma_b, args.c)
     report = classify(inputs)
-    for name in ("heisenberg", "ozawa", "branciard", "strong_branciard"):
+    for name, lhs in report.lhs.items():
         verdict = "satisfied" if report.satisfied[name] else "VIOLATED"
-        print(f"{name:<17} lhs={report.lhs(name):<22.17g} bound={args.c:<8.6g} {verdict}")
+        print(f"{name:<17} lhs={lhs:<22.17g} bound={args.c:<8.6g} {verdict}")
     return 0
 
 

@@ -53,16 +53,6 @@ def ry(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-def kron(*matrices: np.ndarray) -> np.ndarray:
-    """Left-fold Kronecker product of one or more matrices."""
-    if not matrices:
-        raise ValueError("kron needs at least one matrix")
-    out = np.asarray(matrices[0], dtype=complex)
-    for m in matrices[1:]:
-        out = np.kron(out, np.asarray(m, dtype=complex))
-    return out
-
-
 def _check_targets(targets: tuple[int, ...], num_qubits: int) -> None:
     if not targets:
         raise ValueError("no target qubits given")
@@ -150,23 +140,6 @@ class DensityMatrix:
         mat = np.zeros((dim, dim), dtype=complex)
         mat[0, 0] = 1.0
         return cls(num_qubits, mat)
-
-    @classmethod
-    def from_ket(cls, ket: np.ndarray) -> "DensityMatrix":
-        ket = np.asarray(ket, dtype=complex).reshape(-1)
-        n = int(round(np.log2(ket.size)))
-        if 2**n != ket.size:
-            raise ValueError("ket length must be a power of two")
-        norm = np.linalg.norm(ket)
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"ket norm {norm} is not 1")
-        return cls(n, np.outer(ket, ket.conj()))
-
-    @classmethod
-    def product(cls, *states: "DensityMatrix") -> "DensityMatrix":
-        """Tensor product of states, first argument most significant."""
-        mat = kron(*(s.mat for s in states))
-        return cls(sum(s.num_qubits for s in states), mat)
 
     def apply_unitary(self, u: np.ndarray, targets: Sequence[int]) -> "DensityMatrix":
         """Conjugate by a unitary acting on ``targets`` (order defines the wiring)."""

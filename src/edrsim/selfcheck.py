@@ -22,14 +22,7 @@ from .estimators import (
     sample_counts,
     weak_valued_squares,
 )
-from .measurement import (
-    IndirectMeasurement,
-    build_povm,
-    commutator_bound,
-    exact_disturbance,
-    exact_error,
-    reference_input_state,
-)
+from .measurement import commutator_bound, exact_disturbance, exact_error, reference_input_state
 from .noise import compile_noise, confusion_matrix, representative_profile
 from .qsim import ATOL, CNOT, DensityMatrix, X, Z, ry
 
@@ -76,14 +69,14 @@ def _check_meter_statistics() -> str:
     rng = np.random.default_rng(7)
     worst = 0.0
     for s in (0.0, 0.3, 1.0):
-        meas = IndirectMeasurement.z_through_meter(s)
-        povm = build_povm(s)
+        meter = ry(angle_for_strength(s))[:, :1]
         for _ in range(5):
-            state = _random_state(rng)
-            joint = meas.composite(state).apply_unitary(meas.interaction, (0, 1))
-            probs = joint.probabilities([1])
-            want = povm.probabilities(state)
-            dev = float(np.abs(probs - np.asarray(want)).max())
+            rho = _random_state(rng).mat
+            joint = DensityMatrix(2, np.kron(rho, meter @ meter.conj().T))
+            probs = joint.apply_unitary(CNOT, (0, 1)).probabilities([1])
+            # the induced two-outcome POVM (I +/- s Z)/2
+            z = float((rho[0, 0] - rho[1, 1]).real)
+            dev = float(np.abs(probs - [(1.0 + s * z) / 2.0, (1.0 - s * z) / 2.0]).max())
             assert dev < 1e-10, f"max |dp| {dev:.3g} at s={s}"
             worst = max(worst, dev)
     return f"max |dp| {worst:.2g}"
@@ -110,7 +103,7 @@ def _check_ideal_saturation() -> str:
     for s in np.linspace(0.0, 1.0, 9):
         inputs = EdrInputs(exact_error(state, s), exact_disturbance(state, s), 1.0, 1.0, 1.0)
         report = classify(inputs)
-        dev = abs(report.strong_branciard_lhs - 1.0)
+        dev = abs(report.lhs["strong_branciard"] - 1.0)
         assert dev < 1e-9, f"saturation at s={s}: |lhs - 1| {dev:.3g}"
         assert report.satisfied["ozawa"] and report.satisfied["branciard"]
         worst = max(worst, dev)

@@ -163,8 +163,8 @@ def _row_statistics(
         columns[f"{name}_mean"] = means[:, k]
         columns[f"{name}_rms"] = _rms(roots[..., k], means[:, k])
     for name in edr_bounds.BOUND_NAMES:
-        columns[f"{name}_lhs"] = at_mean.lhs(name)
-        columns[f"{name}_rms"] = _rms(at_repeats.lhs(name), at_mean.lhs(name))
+        columns[f"{name}_lhs"] = at_mean.lhs[name]
+        columns[f"{name}_rms"] = _rms(at_repeats.lhs[name], at_mean.lhs[name])
         columns[f"{name}_satisfied"] = at_mean.satisfied[name]
     return {name: values.tolist() for name, values in columns.items()}
 
@@ -175,13 +175,12 @@ def run_sweep(cfg: SweepConfig) -> list[SweepResultRow]:
     profile = cfg.noise_profile
     model = None if profile is None else compile_noise(profile, include_idle=cfg.include_idle)
     basis, prefix_state = readout_basis(theta_w, model)
-    # without noise the evolved prefix already is the ideal post-probe state
-    probe_state = (
-        prefix_state.partial_trace([SYSTEM]) if model is None else post_probe_system_state(theta_w)
-    )
-    sigma_state = (
-        reference_input_state() if cfg.sigma_source == "ideal" else prefix_state.partial_trace([SYSTEM])
-    )
+    # the evolved prefix's system state is the exact reference's input without
+    # noise and sigma's source when simulated; reduce it only if one of them reads it
+    simulated = cfg.sigma_source == "simulated"
+    reduced = prefix_state.partial_trace([SYSTEM]) if model is None or simulated else None
+    probe_state = reduced if model is None else post_probe_system_state(theta_w)
+    sigma_state = reduced if simulated else reference_input_state()
     sigmas = (standard_deviation(sigma_state, Z), standard_deviation(sigma_state, X))
     c = edr_bounds.effective_bound(theta_w)
     eps_refs = [exact_error(probe_state, s) for s in cfg.strengths]

@@ -44,6 +44,15 @@ def purity(rho: np.ndarray) -> float:
     return float(np.trace(rho @ rho).real)
 
 
+def pure_density(*kets) -> np.ndarray:
+    """|k1><k1| x |k2><k2| x ..., the first ket most significant."""
+    out = np.ones((1, 1), dtype=complex)
+    for ket in kets:
+        ket = np.asarray(ket, dtype=complex)
+        out = np.kron(out, np.outer(ket, ket.conj()))
+    return out
+
+
 def rand_density(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
     """Random full-rank density matrix (Ginibre construction)."""
     g = rng.normal(size=(dim, dim)) + 1.0j * rng.normal(size=(dim, dim))

@@ -90,7 +90,7 @@ def test_gate_3_strengthened_relation_saturates():
     worst = 0.0
     for s in GRID:
         inputs = EdrInputs(exact_error(state, s), exact_disturbance(state, s), 1.0, 1.0, 1.0)
-        worst = max(worst, abs(classify(inputs).strong_branciard_lhs - 1.0))
+        worst = max(worst, abs(classify(inputs).lhs["strong_branciard"] - 1.0))
     print(f"gate 3 {'PASS' if worst < 1e-9 else 'FAIL'}: "
           f"strengthened relation saturation, worst |lhs - 1| = {worst:.3e}")
     assert worst < 1e-9

@@ -120,12 +120,12 @@ def test_classification_tolerance():
 
 def test_classify_report_shape():
     report = classify(unit(MIDPOINT, MIDPOINT))
-    assert set(report.satisfied) == set(BOUND_NAMES)
+    assert list(report.lhs) == list(report.satisfied) == list(BOUND_NAMES)
     assert not report.satisfied["heisenberg"]
     assert report.satisfied["ozawa"]
     assert report.satisfied["branciard"]
     assert report.satisfied["strong_branciard"]
-    assert report.lhs("ozawa") == report.ozawa_lhs
+    assert report.lhs["ozawa"] == ozawa_lhs(unit(MIDPOINT, MIDPOINT))
 
 
 def test_region_ordering_on_grid():
@@ -139,7 +139,7 @@ def test_region_ordering_on_grid():
                 assert report.satisfied["branciard"], (eps, eta)
             if report.satisfied["branciard"]:
                 assert report.satisfied["ozawa"], (eps, eta)
-            assert report.strong_branciard_lhs <= report.branciard_lhs + 1e-9, (eps, eta)
+            assert report.lhs["strong_branciard"] <= report.lhs["branciard"] + 1e-9, (eps, eta)
 
 
 @settings(max_examples=80, deadline=None)
@@ -174,5 +174,5 @@ def test_classify_on_arrays_matches_scalar_classify(pairs, sigma_a, sigma_b, c):
     for i, (e, n) in enumerate(pairs):
         one = classify(EdrInputs(e, n, sigma_a, sigma_b, c))
         for name in BOUND_NAMES:
-            assert report.lhs(name)[i] == one.lhs(name), (name, e, n)
+            assert report.lhs[name][i] == one.lhs[name], (name, e, n)
             assert report.satisfied[name][i] == one.satisfied[name], (name, e, n)

@@ -1,23 +1,20 @@
 import math
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
 from edrsim import measurement
+from edrsim.circuit import angle_for_strength
 from edrsim.measurement import (
-    IndirectMeasurement,
-    PovmPair,
-    build_povm,
     commutator_bound,
     exact_disturbance,
     exact_error,
     reference_input_state,
     standard_deviation,
 )
-from edrsim.qsim import DensityMatrix, I2, X, Y, Z
+from edrsim.qsim import CNOT, DensityMatrix, X, Y, Z, ry
 
 
 def test_reference_state_is_minus_y_eigenstate():
@@ -36,7 +33,7 @@ def test_commutator_bound_is_exactly_one():
 def test_commutator_bound_general():
     ground = DensityMatrix.ground(1)
     assert commutator_bound(ground, Z, X) == 0.0
-    plus = DensityMatrix.from_ket(np.array([1.0, 1.0]) / math.sqrt(2.0))
+    plus = DensityMatrix(1, helpers.pure_density(np.array([1.0, 1.0]) / math.sqrt(2.0)))
     assert abs(commutator_bound(plus, Y, Z) - 1.0) < 1e-12
 
 
@@ -47,50 +44,21 @@ def test_standard_deviations_on_reference_state():
     assert standard_deviation(state, Y) < 1e-7
 
 
-def test_povm_diagonals_at_half_strength():
-    povm = build_povm(0.5)
-    assert np.allclose(np.diag(povm.plus).real, [0.75, 0.25])
-    assert np.allclose(np.diag(povm.minus).real, [0.25, 0.75])
-
-
-def test_povm_endpoints():
-    weak = build_povm(0.0)
-    assert np.allclose(weak.plus, I2 / 2.0)
-    strong = build_povm(1.0)
-    assert np.allclose(strong.plus, np.diag([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        build_povm(1.2)
-
-
-def test_povm_probabilities_match_expectations():
-    rng = np.random.default_rng(11)
-    for s in (0.0, 0.25, 0.8, 1.0):
-        povm = build_povm(s)
-        for _ in range(5):
-            state = DensityMatrix(1, helpers.rand_density(rng))
-            p_plus, p_minus = povm.probabilities(state)
-            assert abs(p_plus + p_minus - 1.0) < 1e-12
-            assert abs(p_plus - (1.0 + s * state.expectation(Z)) / 2.0) < 1e-12
-
-
-def test_povm_pair_validation():
-    with pytest.raises(ValueError):
-        PovmPair(np.diag([0.8, 0.8]), np.diag([0.3, 0.3]), 0.5)
-    with pytest.raises(ValueError):
-        PovmPair(np.diag([1.5, 0.0]), np.diag([-0.5, 1.0]), 0.5)
-
-
 def test_meter_statistics_reproduce_povm():
+    # the simulated meter against literal ry/CX algebra and the induced POVM (I +/- s Z)/2
     rng = np.random.default_rng(5)
     for s in (0.0, 0.4, 1.0):
-        meas = IndirectMeasurement.z_through_meter(s)
-        povm = build_povm(s)
+        meter = ry(angle_for_strength(s))[:, :1]
+        literal = helpers.ry_mat(math.acos(s))[:, 0]
         for _ in range(4):
-            state = DensityMatrix(1, helpers.rand_density(rng))
-            joint = meas.composite(state).apply_unitary(meas.interaction, (0, 1))
-            assert np.abs(
-                joint.probabilities([1]) - np.asarray(povm.probabilities(state))
-            ).max() < 1e-12
+            rho = helpers.rand_density(rng)
+            joint = DensityMatrix(2, np.kron(rho, meter @ meter.conj().T))
+            probs = joint.apply_unitary(CNOT, (0, 1)).probabilities([1])
+            joint_literal = np.kron(rho, np.outer(literal, literal.conj()))
+            after = helpers.CX @ joint_literal @ helpers.CX.conj().T
+            assert np.abs(probs - np.diag(after).real.reshape(2, 2).sum(axis=0)).max() < 1e-12
+            z = (rho[0, 0] - rho[1, 1]).real
+            assert np.abs(probs - [(1.0 + s * z) / 2.0, (1.0 - s * z) / 2.0]).max() < 1e-12
 
 
 def test_error_against_independent_oracle():
@@ -140,17 +108,18 @@ def test_error_disturbance_crossing_point():
 
 
 def test_measuring_z_does_not_disturb_z():
-    # the disturbance operator of Z vanishes, so <D^2> is 0 on every state and strength
-    for s in (0.1, 0.6, 1.0):
-        meas = IndirectMeasurement.z_through_meter(s)
-        assert np.abs(meas.disturbance_operator(Z)).max() < 1e-12
-        assert np.abs(meas.disturbance_operator(X)).max() > 0.5
+    # CX^ (Z x I) CX = Z x I: the disturbance operator of Z vanishes, that of X does not
+    z_before = np.kron(helpers.SZ, helpers.ID2)
+    assert np.array_equal(helpers.CX.conj().T @ z_before @ helpers.CX, z_before)
+    assert np.abs(measurement._X_DISTURBANCE_OP).max() > 0.5
 
 
 def test_fixed_operators_are_the_indirect_measurement_ones():
-    meas = IndirectMeasurement.z_through_meter(1.0)
-    assert np.array_equal(measurement._Z_NOISE_OP, meas.noise_operator())
-    assert np.array_equal(measurement._X_DISTURBANCE_OP, meas.disturbance_operator(X))
+    cx, i2 = helpers.CX, helpers.ID2
+    noise = cx.conj().T @ np.kron(i2, helpers.SZ) @ cx - np.kron(helpers.SZ, i2)
+    x_before = np.kron(helpers.SX, i2)
+    assert np.array_equal(measurement._Z_NOISE_OP, noise)
+    assert np.array_equal(measurement._X_DISTURBANCE_OP, cx.conj().T @ x_before @ cx - x_before)
 
 
 def test_projective_limit():
@@ -159,13 +128,3 @@ def test_projective_limit():
     assert abs(exact_disturbance(state, 1.0) - math.sqrt(2.0)) < 1e-12
     assert abs(exact_error(state, 0.0) - math.sqrt(2.0)) < 1e-12
     assert exact_disturbance(state, 0.0) < 1e-12
-
-
-def test_indirect_measurement_validation():
-    with pytest.raises(ValueError):
-        IndirectMeasurement(
-            system_observable=np.array([[1.0, 0.0], [0.0, 0.5]]),
-            meter_observable=Z,
-            interaction=np.eye(4),
-            meter_init_angle=0.3,
-        )

@@ -275,7 +275,7 @@ def test_depolarizing_channel_action():
     out = mixed.apply_channel(depolarizing_channel(0.3, 1), [0])
     assert np.abs(out.mat - I2 / 2.0).max() < 1e-12
     # contraction factor on traceless components is 1 - error*d/(d-1)
-    plus = DensityMatrix.from_ket(np.array([1.0, 1.0]) / math.sqrt(2.0))
+    plus = DensityMatrix(1, helpers.pure_density(np.array([1.0, 1.0]) / math.sqrt(2.0)))
     shrunk = plus.apply_channel(depolarizing_channel(0.03, 1), [0])
     assert abs(shrunk.expectation(X) - (1.0 - 0.03 * 2.0)) < 1e-12
 
@@ -284,7 +284,7 @@ def test_thermal_relaxation_limits():
     assert thermal_relaxation_channel(math.inf, math.inf, 100.0) is None
     assert thermal_relaxation_channel(50.0, 50.0, 0.0) is None
     channel = thermal_relaxation_channel(50.0, 70.0, 1000.0)
-    excited = DensityMatrix.from_ket(np.array([0.0, 1.0]))
+    excited = DensityMatrix(1, helpers.pure_density([0.0, 1.0]))
     decayed = excited.apply_channel(channel, [0])
     want_pop = math.exp(-1.0 / 50.0)  # 1000 ns against T1 = 50 us
     assert abs((1.0 - decayed.expectation(Z)) / 2.0 - want_pop) < 1e-12
@@ -296,7 +296,7 @@ def test_thermal_relaxation_limits():
 def test_thermal_relaxation_coherence_decay():
     t1, t2, dt = 80.0, 60.0, 500.0
     channel = thermal_relaxation_channel(t1, t2, dt)
-    plus = DensityMatrix.from_ket(np.array([1.0, 1.0]) / math.sqrt(2.0))
+    plus = DensityMatrix(1, helpers.pure_density(np.array([1.0, 1.0]) / math.sqrt(2.0)))
     out = plus.apply_channel(channel, [0])
     assert abs(out.expectation(X) - math.exp(-(dt / 1000.0) / t2)) < 1e-12
 

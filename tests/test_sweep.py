@@ -260,6 +260,26 @@ def test_classify_count_does_not_scale_with_grid(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
+def test_partial_trace_count(monkeypatch):
+    # one reduction of the evolved prefix serves both the ideal exact reference
+    # and simulated sigmas; a noisy sweep adds one of the noiseless prefix
+    calls = []
+    original = DensityMatrix.partial_trace
+
+    def counting(self, keep):
+        calls.append(tuple(keep))
+        return original(self, keep)
+
+    monkeypatch.setattr(DensityMatrix, "partial_trace", counting)
+    counts = []
+    for profile in (None, representative_profile()):
+        for sigma_source in ("ideal", "simulated"):
+            calls.clear()
+            run_sweep(small_config(mode="exact", noise_profile=profile, sigma_source=sigma_source))
+            counts.append(len(calls))
+    assert counts == [1, 1, 1, 2]
+
+
 @pytest.mark.parametrize(
     "points, profile, sigma_source, shots",
     [
