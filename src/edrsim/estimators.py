@@ -17,37 +17,46 @@ probabilities or on sampled counts; it is the package's one estimator.
 Squared estimates can go slightly negative under sampling noise; they are
 reported raw alongside estimates clamped at zero before the square root.
 
-A sweep evolves the circuit once (``readout_basis``), not once per strength
-(``outcome_distribution``, kept as the per-point reference): the readout
-distribution is affine in (1, cos theta, sin theta) of the meter angle.
-``sample_counts`` then draws all of a point's shot batches from one seeded
-stream in one multinomial call.
+Every evolution runs ``compile_steps``' checked (channel, targets) steps
+through ``DensityMatrix.apply_channel``.  A sweep evolves the circuit once
+(``readout_basis``), not once per strength (``outcome_distribution``, kept as
+the per-point reference): the readout distribution is affine in (1, cos theta,
+sin theta) of the meter angle.  ``sample_counts`` then draws all of a point's
+shot batches from one seeded stream in one multinomial call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
 from .circuit import METER, Circuit, build_edr_circuit
 from .noise import NoiseModel, apply_readout_confusion
-from .qsim import DensityMatrix
+from .qsim import DensityMatrix, KrausChannel, ry
 
 
-def run_circuit(
-    circuit: Circuit, noise: NoiseModel | None = None, state: DensityMatrix | None = None
-) -> DensityMatrix:
-    """Evolve ``state`` (|0...0> by default) through the circuit, with compiled noise channels."""
-    state = DensityMatrix.ground(circuit.num_qubits) if state is None else state
+def compile_steps(circuit: Circuit, noise: NoiseModel | None = None) -> tuple[tuple, ...]:
+    """The circuit as (channel, targets) steps: each gate as its one-operator channel,
+    checked here, once, then the noise channels that follow it."""
+    steps = []
     for op in circuit.ops:
-        state = state.apply_unitary(op.matrix(), op.qubits)
+        steps.append((KrausChannel((op.matrix(),)), op.qubits))
         if noise is not None:
-            for channel, targets in noise.channels_after(op, circuit.num_qubits):
-                state = state.apply_channel(channel, targets)
+            steps.extend(noise.channels_after(op, circuit.num_qubits))
+    return tuple(steps)
+
+
+def _run(steps: Sequence[tuple], state: DensityMatrix) -> DensityMatrix:
+    for channel, targets in steps:
+        state = state.apply_channel(channel, targets)
     return state
+
+
+def run_circuit(circuit: Circuit, noise: NoiseModel | None = None) -> DensityMatrix:
+    """|0...0> evolved through the circuit's compiled steps."""
+    return _run(compile_steps(circuit, noise), DensityMatrix.ground(circuit.num_qubits))
 
 
 def outcome_distribution(
@@ -59,11 +68,7 @@ def outcome_distribution(
     exactly the distribution the sampler draws from.
     """
     circuit = build_edr_circuit(theta_w, theta)
-    return _readout(run_circuit(circuit, noise), circuit, noise)
-
-
-def _readout(state: DensityMatrix, circuit: Circuit, noise: NoiseModel | None) -> np.ndarray:
-    probs = state.probabilities(circuit.measured_qubits)
+    probs = run_circuit(circuit, noise).probabilities(circuit.measured_qubits)
     if noise is not None:
         probs = apply_readout_confusion(probs, noise, circuit.measured_qubits)
     return probs
@@ -85,15 +90,18 @@ def readout_basis(
     A + B cos(theta) + C sin(theta): no op before the meter's rotation and no
     noise channel depends on theta, and the rest is linear in the meter state.
     So the prefix is evolved once and the tail three times, at theta = 0,
-    pi/2 and pi, which give A + B, A + C and A - B.
+    pi/2 and pi, which give A + B, A + C and A - B.  Both are compiled once;
+    only the meter's rotation is rebuilt per angle.
     """
     prefix, tail = split_at_meter(build_edr_circuit(theta_w, 0.0))
     state = run_circuit(prefix, noise)
-    rows = []
-    for angle in (0.0, math.pi / 2.0, math.pi):
-        circuit = replace(tail, ops=(replace(tail.ops[0], angle=angle), *tail.ops[1:]))
-        rows.append(_readout(run_circuit(circuit, noise, state), circuit, noise))
-    plus, mid, minus = rows
+    (_, meter), *rest = compile_steps(tail, noise)
+    ends = [_run(((KrausChannel((ry(angle),)), meter), *rest), state)
+            for angle in (0.0, math.pi / 2.0, math.pi)]
+    probs = np.stack([end.probabilities(tail.measured_qubits) for end in ends])
+    if noise is not None:  # one confusion pass over the three tail distributions
+        probs = apply_readout_confusion(probs, noise, tail.measured_qubits)
+    plus, mid, minus = probs
     a = (plus + minus) / 2.0
     return np.stack([a, (plus - minus) / 2.0, mid - a]), state
 

@@ -51,39 +51,37 @@ def reference_input_state() -> DensityMatrix:
     return DensityMatrix(1, _RHO_R.copy())
 
 
-def _clamped_sqrt(value: float) -> float:
-    if value < -ATOL:
-        raise ValueError(f"negative squared quantity {value} beyond tolerance")
-    return math.sqrt(max(value, 0.0))
-
-
 # D of the error (A = M = Z) and of the disturbance of B = X, U the CNOT
 _Z_NOISE_OP = CNOT.conj().T @ np.kron(I2, Z) @ CNOT - np.kron(Z, I2)
 _X_DISTURBANCE_OP = CNOT.conj().T @ np.kron(X, I2) @ CNOT - np.kron(X, I2)
 
 
-def _rms(op: np.ndarray, system_state: DensityMatrix, strength: float) -> float:
+def _rms(op: np.ndarray, system_state: DensityMatrix, strength: float | np.ndarray):
     """sqrt(<op^2>) on rho x |m><m|, as sqrt(tr(rho W^ W)) with W = op (I x |m>).
 
     The strength-s meter ket m = ry(acos s)|0> is built from s directly, and
-    W is m0 times the even columns of op plus m1 times its odd columns.
+    W is m0 times the even columns of op plus m1 times its odd columns; an
+    array of strengths gives a stack of W and an array of values.
     """
-    if not 0.0 <= strength <= 1.0:
+    s = np.asarray(strength, dtype=float)
+    if not np.all((0.0 <= s) & (s <= 1.0)):
         raise ValueError(f"strength {strength} outside [0, 1]")
     if system_state.num_qubits != 1:
         raise ValueError("system state must be a single qubit")
-    m0, m1 = math.sqrt((1.0 + strength) / 2.0), math.sqrt((1.0 - strength) / 2.0)
+    m0, m1 = np.sqrt((1.0 + s) / 2.0)[..., None, None], np.sqrt((1.0 - s) / 2.0)[..., None, None]
     w = m0 * op[:, 0::2] + m1 * op[:, 1::2]
-    return math.sqrt(max(float(np.trace(system_state.mat @ (w.conj().T @ w)).real), 0.0))
+    wtw = w.conj().swapaxes(-1, -2) @ w
+    out = np.sqrt(np.maximum(np.trace(system_state.mat @ wtw, axis1=-2, axis2=-1).real, 0.0))
+    return float(out) if out.ndim == 0 else out
 
 
-def exact_error(system_state: DensityMatrix, strength: float) -> float:
-    """Operator-definition error of the strength-s Z measurement."""
+def exact_error(system_state: DensityMatrix, strength: float | np.ndarray):
+    """Operator-definition error of the strength-s Z measurement, per strength for an array."""
     return _rms(_Z_NOISE_OP, system_state, strength)
 
 
-def exact_disturbance(system_state: DensityMatrix, strength: float) -> float:
-    """Operator-definition disturbance of X under the strength-s Z measurement."""
+def exact_disturbance(system_state: DensityMatrix, strength: float | np.ndarray):
+    """Operator-definition disturbance of X under the strength-s Z measurement, per strength."""
     return _rms(_X_DISTURBANCE_OP, system_state, strength)
 
 
@@ -92,7 +90,10 @@ def standard_deviation(state: DensityMatrix, obs: np.ndarray) -> float:
     obs = np.asarray(obs, dtype=complex)
     mean = state.expectation(obs)
     second = state.expectation(obs @ obs)
-    return _clamped_sqrt(second - mean * mean)
+    variance = second - mean * mean
+    if variance < -ATOL:
+        raise ValueError(f"negative squared quantity {variance} beyond tolerance")
+    return math.sqrt(max(variance, 0.0))
 
 
 def commutator_bound(state: DensityMatrix, a: np.ndarray, b: np.ndarray) -> float:

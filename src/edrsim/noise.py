@@ -217,29 +217,24 @@ def representative_profile() -> CalibrationProfile:
     return parse_profile(text)
 
 
+# the Pauli basis of one and of two qubits, the identity first; [4a + b] = kron(P_a, P_b)
+_P = np.array([I2, X, Y, Z])
+_PAULIS = {1: _P, 2: (_P[:, None, :, None, :, None] * _P[None, :, None, :, None, :]).reshape(16, 4, 4)}
+
+
 def depolarizing_channel(error: float, num_qubits: int) -> KrausChannel | None:
     """Depolarizing channel for an average gate error; None when exactly noiseless."""
     if error < 0.0:
         raise ValueError(f"gate error {error} negative")
     if error == 0.0:
         return None
+    if num_qubits not in _PAULIS:
+        raise ValueError("depolarizing channel supports one or two qubits")
     dim = 2**num_qubits
     p = min(error * dim / (dim - 1.0), 1.0)
-    paulis = [I2, X, Y, Z]
-    ops = []
-    if num_qubits == 1:
-        terms = [(m,) for m in paulis]
-    elif num_qubits == 2:
-        terms = [(a, b) for a in paulis for b in paulis]
-    else:
-        raise ValueError("depolarizing channel supports one or two qubits")
-    for k, term in enumerate(terms):
-        mat = term[0]
-        for extra in term[1:]:
-            mat = np.kron(mat, extra)
-        weight = 1.0 - p + p / dim**2 if k == 0 else p / dim**2
-        ops.append(math.sqrt(weight) * mat)
-    return KrausChannel(tuple(ops))
+    weights = np.full(dim**2, p / dim**2)
+    weights[0] = 1.0 - p + p / dim**2
+    return KrausChannel(tuple(np.sqrt(weights)[:, None, None] * _PAULIS[num_qubits]))
 
 
 def thermal_relaxation_channel(
@@ -332,18 +327,18 @@ def compile_noise(profile: CalibrationProfile, *, include_idle: bool = True) -> 
 def apply_readout_confusion(
     probs: np.ndarray, model: NoiseModel, qubits: Sequence[int]
 ) -> np.ndarray:
-    """Push an outcome distribution through each measured qubit's confusion matrix.
+    """Push outcome distributions through each measured qubit's confusion matrix.
 
-    ``probs`` is indexed by bit pattern, most significant bit first, with
-    ``qubits`` naming the physical qubit behind each bit position.
+    ``probs`` is indexed by bit pattern on its last axis, most significant bit
+    first, with ``qubits`` naming the physical qubit behind each bit position;
+    leading axes index separate distributions.
     """
     qubits = tuple(qubits)
     k = len(qubits)
     probs = np.asarray(probs, dtype=float)
-    if probs.shape != (2**k,):
+    if probs.shape[-1:] != (2**k,):
         raise ValueError(f"expected {2**k} outcome probabilities, got shape {probs.shape}")
-    table = probs.reshape((2,) * k)
-    for axis, q in enumerate(qubits):
-        mat = model.confusion[q]
-        table = np.moveaxis(np.tensordot(mat, table, axes=([1], [axis])), 0, axis)
-    return table.reshape(2**k)
+    table = probs.reshape(probs.shape[:-1] + (2,) * k)
+    for axis, q in enumerate(qubits, probs.ndim - 1):
+        table = np.moveaxis(np.tensordot(model.confusion[q], table, axes=([1], [axis])), 0, axis)
+    return table.reshape(probs.shape)

@@ -18,6 +18,7 @@ a trace-preserving map keeps valid.  The eigenvalue check is only run by
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -53,7 +54,10 @@ def ry(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-def _check_targets(targets: tuple[int, ...], num_qubits: int) -> None:
+@cache
+def _check_targets(targets: tuple[int, ...], num_qubits: int) -> tuple[tuple[int, ...], ...]:
+    """Validate targets; return the (2,)*2n state axes with their rows and columns first,
+    and the inverse order.  Memoised; invalid targets raise on every call."""
     if not targets:
         raise ValueError("no target qubits given")
     if len(set(targets)) != len(targets):
@@ -61,27 +65,15 @@ def _check_targets(targets: tuple[int, ...], num_qubits: int) -> None:
     for q in targets:
         if not 0 <= q < num_qubits:
             raise ValueError(f"target qubit {q} outside register of {num_qubits}")
-
-
-def _require_unitary(u: np.ndarray) -> None:
-    dim = u.shape[0]
-    if u.shape != (dim, dim):
-        raise ValueError("unitary must be square")
-    dev = np.max(np.abs(u.conj().T @ u - np.eye(dim)))
-    if dev > ATOL:
-        raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
+    front = targets + tuple(num_qubits + q for q in targets)
+    order = front + tuple(a for a in range(2 * num_qubits) if a not in front)
+    return order, tuple(sorted(range(2 * num_qubits), key=order.__getitem__))
 
 
 def _require_hermitian(m: np.ndarray, what: str) -> None:
     dev = np.max(np.abs(m - m.conj().T))
     if dev > ATOL:
         raise ValueError(f"{what} is not Hermitian (deviation {dev:.3e})")
-
-
-def _superoperator(ops: np.ndarray) -> np.ndarray:
-    """sum K x conj(K) over a (m, d, d) stack: S[(i, j), (a, b)] = sum_K K[i, a] conj(K[j, b])."""
-    d = ops.shape[-1]
-    return np.einsum("kia,kjb->ijab", ops, ops.conj()).reshape(d * d, d * d)
 
 
 @dataclass(frozen=True)
@@ -104,11 +96,14 @@ class KrausChannel:
         for k in ops:
             if k.shape != (dim, dim):
                 raise ValueError("Kraus operators must be square and equally sized")
-        total = sum(k.conj().T @ k for k in ops)
-        dev = np.max(np.abs(total - np.eye(dim)))
+        stack = np.array(ops)
+        total = np.einsum("kia,kib->ab", stack.conj(), stack)  # sum K^dagger K
+        total.flat[:: dim + 1] -= 1.0
+        dev = np.abs(total).max()
         if dev > ATOL:
             raise ValueError(f"Kraus operators are not complete (deviation {dev:.3e})")
-        object.__setattr__(self, "superop", _superoperator(np.array(ops)))
+        superop = np.einsum("kia,kjb->ijab", stack, stack.conj())  # S[(i, j), (a, b)]
+        object.__setattr__(self, "superop", superop.reshape(dim * dim, dim * dim))
 
 
 @dataclass(frozen=True)
@@ -142,10 +137,8 @@ class DensityMatrix:
         return cls(num_qubits, mat)
 
     def apply_unitary(self, u: np.ndarray, targets: Sequence[int]) -> "DensityMatrix":
-        """Conjugate by a unitary acting on ``targets`` (order defines the wiring)."""
-        u = np.asarray(u, dtype=complex)
-        _require_unitary(u)
-        return self._evolve(_superoperator(u[None]), targets)
+        """Conjugate by a unitary on ``targets`` (order defines the wiring), checked per call."""
+        return self._evolve(KrausChannel((u,)).superop, targets)
 
     def apply_channel(self, channel: KrausChannel, targets: Sequence[int]) -> "DensityMatrix":
         """Apply a Kraus channel on ``targets``; the trace is preserved by completeness."""
@@ -154,13 +147,10 @@ class DensityMatrix:
     def _evolve(self, superop: np.ndarray, targets: Sequence[int]) -> "DensityMatrix":
         """rho -> S(rho): S multiplies the target (row, column) axes of rho, moved to the front."""
         targets, n = tuple(targets), self.num_qubits
-        _check_targets(targets, n)
+        order, back = _check_targets(targets, n)
         k = len(targets)
         if superop.shape != (4**k, 4**k):
             raise ValueError(f"superoperator {superop.shape} does not act on {k} target qubit(s)")
-        front = targets + tuple(n + q for q in targets)
-        order = front + tuple(a for a in range(2 * n) if a not in front)
-        back = sorted(range(2 * n), key=order.__getitem__)
         t = self.mat.reshape((2,) * (2 * n)).transpose(order)
         out = (superop @ t.reshape(4**k, -1)).reshape(t.shape).transpose(back)
         return DensityMatrix(n, out.reshape(2**n, 2**n), check=False)

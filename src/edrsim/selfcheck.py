@@ -42,15 +42,24 @@ def _check_unitaries() -> str:
 
 
 def _check_closed_forms() -> str:
-    state = reference_input_state()
-    worst = 0.0
-    for s in np.linspace(0.0, 1.0, 21):
-        d_eps = abs(exact_error(state, s) - math.sqrt(2.0 * (1.0 - s)))
-        d_eta = abs(exact_disturbance(state, s) - math.sqrt(2.0 * (1.0 - math.sqrt(1.0 - s * s))))
-        assert d_eps < 1e-10, f"error at s={s}"
-        assert d_eta < 1e-10, f"disturbance at s={s}"
-        worst = max(worst, d_eps, d_eta)
-    return f"max |d| {worst:.2g}"
+    state, s = reference_input_state(), np.linspace(0.0, 1.0, 21)
+    d_eps = np.abs(exact_error(state, s) - np.sqrt(2.0 * (1.0 - s)))
+    d_eta = np.abs(exact_disturbance(state, s) - np.sqrt(2.0 * (1.0 - np.sqrt(1.0 - s * s))))
+    assert d_eps.max() < 1e-10, f"error at s={s[d_eps.argmax()]}"
+    assert d_eta.max() < 1e-10, f"disturbance at s={s[d_eta.argmax()]}"
+    return f"max |d| {max(d_eps.max(), d_eta.max()):.2g}"
+
+
+def _check_ideal_estimator() -> str:
+    # ideal circuit: eps^2 = 2 (1 - s sin theta_w), eta^2 = 2 s^2 / (1 + sqrt(1 - s^2))
+    s, worst = np.linspace(0.0, 1.0, 11), 0.0
+    for theta_w in map(angle_for_strength, (0.05, 0.3, 0.7, 1.0)):
+        basis, _ = readout_basis(theta_w)
+        got = weak_valued_squares(np.array([basis_probabilities(basis, x) for x in s]), theta_w)
+        want = [2.0 * (1.0 - s * math.sin(theta_w)), 2.0 * s * s / (1.0 + np.sqrt(1.0 - s * s))]
+        worst = max(worst, float(np.abs(got - np.transpose(want)).max()))
+    assert worst <= 1e-12, f"max |d| {worst:.3g} on the squares"
+    return f"max |d| on the squares {worst:.2g}"
 
 
 def _check_sweep_basis() -> str:
@@ -98,16 +107,12 @@ def _check_weak_value_bias() -> str:
 
 
 def _check_ideal_saturation() -> str:
-    state = reference_input_state()
-    worst = 0.0
-    for s in np.linspace(0.0, 1.0, 9):
-        inputs = EdrInputs(exact_error(state, s), exact_disturbance(state, s), 1.0, 1.0, 1.0)
-        report = classify(inputs)
-        dev = abs(report.lhs["strong_branciard"] - 1.0)
-        assert dev < 1e-9, f"saturation at s={s}: |lhs - 1| {dev:.3g}"
-        assert report.satisfied["ozawa"] and report.satisfied["branciard"]
-        worst = max(worst, dev)
-    return f"max |lhs - 1| {worst:.2g}"
+    state, s = reference_input_state(), np.linspace(0.0, 1.0, 9)
+    report = classify(EdrInputs(exact_error(state, s), exact_disturbance(state, s), 1.0, 1.0, 1.0))
+    dev = np.abs(report.lhs["strong_branciard"] - 1.0)
+    assert dev.max() < 1e-9, f"saturation at s={s[dev.argmax()]}: |lhs - 1| {dev.max():.3g}"
+    assert np.all(report.satisfied["ozawa"] & report.satisfied["branciard"])
+    return f"max |lhs - 1| {dev.max():.2g}"
 
 
 def _check_effective_bound() -> str:
@@ -153,6 +158,7 @@ CHECKS: tuple[tuple[str, Callable[[], str]], ...] = (
     ("sweep basis matches per-point evolution", _check_sweep_basis),
     ("meter statistics match the induced two-outcome model", _check_meter_statistics),
     ("weak-valued estimates track operator values", _check_weak_value_bias),
+    ("ideal estimator matches its closed form", _check_ideal_estimator),
     ("strengthened relation saturates on the ideal curve", _check_ideal_saturation),
     ("probe-adjusted bound and commutator endpoints", _check_effective_bound),
     ("sampling is deterministic in the seed", _check_sampling_determinism),

@@ -183,8 +183,8 @@ def run_sweep(cfg: SweepConfig) -> list[SweepResultRow]:
     sigma_state = reduced if simulated else reference_input_state()
     sigmas = (standard_deviation(sigma_state, Z), standard_deviation(sigma_state, X))
     c = edr_bounds.effective_bound(theta_w)
-    eps_refs = [exact_error(probe_state, s) for s in cfg.strengths]
-    eta_refs = [exact_disturbance(probe_state, s) for s in cfg.strengths]
+    eps_refs = exact_error(probe_state, cfg.strengths).tolist()
+    eta_refs = exact_disturbance(probe_state, cfg.strengths).tolist()
     # per point, not one (points, 3) @ (3, 16) product: a batched product
     # rounds differently and would move the exact rows' bits
     probs = [basis_probabilities(basis, s) for s in cfg.strengths]

@@ -198,6 +198,17 @@ def oracle_outcome_distribution(theta_w: float, theta: float) -> np.ndarray:
     return probs
 
 
+def oracle_ideal_weak_valued_squares(theta_w: float, strength: float) -> tuple[float, float]:
+    """Closed-form weak-valued (epsilon^2, eta^2) of the noiseless circuit.
+
+    epsilon^2 = 2 (1 - s sin(theta_w)): the X probe dephases Z by sin(theta_w).
+    eta^2 = 2 (1 - sqrt(1 - s^2)), written as 2 s^2 / (1 + sqrt(1 - s^2)) so that
+    it does not cancel near s = 0: no probe acts on X after the X probe.
+    """
+    s = strength
+    return 2.0 * (1.0 - s * math.sin(theta_w)), 2.0 * s * s / (1.0 + math.sqrt(1.0 - s * s))
+
+
 def oracle_correlators(probs: np.ndarray) -> np.ndarray:
     """(E_z, E_x) = p++ + p-- - p+- - p-+ of the (z_i, z_f) and (x_i, x_f) pair marginals.
 

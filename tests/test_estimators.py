@@ -54,6 +54,22 @@ def test_readout_basis_matches_per_point_evolution(bases, model_name, probe, str
     assert np.abs(got - want).max() <= 1e-12
 
 
+@pytest.mark.parametrize("probe", PROBE_STRENGTHS)
+@pytest.mark.parametrize("model_name", ("representative", "no_idle"))
+@settings(max_examples=8, deadline=None)
+@given(strength=st.floats(0.0, 1.0))
+@example(strength=0.0)
+@example(strength=2**-23)
+@example(strength=0.5)
+@example(strength=1.0)
+def test_readout_basis_matches_literal_noisy_oracle(bases, model_name, probe, strength):
+    # outcome_distribution shares compile_steps with readout_basis; this oracle shares nothing
+    circuit = build_edr_circuit(angle_for_strength(probe), angle_for_strength(strength))
+    want = helpers.oracle_noisy_outcome_distribution(circuit, NOISE_MODELS[model_name])
+    got = basis_probabilities(bases[model_name, probe], strength)
+    assert np.abs(got - want).max() <= 1e-12
+
+
 def test_outcome_distribution_matches_independent_simulation():
     for s in (0.0, 0.3, 0.75, 1.0):
         theta = angle_for_strength(s)

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -81,6 +82,23 @@ def test_closed_form_curves():
         assert abs(exact_error(state, s) - math.sqrt(2.0 * (1.0 - s))) < 1e-12
         want = math.sqrt(2.0 * (1.0 - math.sqrt(1.0 - s * s)))
         assert abs(exact_disturbance(state, s) - want) < 1e-12
+
+
+def test_strength_arrays_match_scalar_calls_bit_for_bit():
+    rng = np.random.default_rng(11)
+    strengths = np.concatenate([np.linspace(0.0, 1.0, 51), [1e-300, 1e-9, 2**-23, 1.0 - 1e-12]])
+    for rho in (reference_input_state().mat, helpers.rand_density(rng), helpers.rand_density(rng)):
+        state = DensityMatrix(1, rho)
+        for fn in (exact_error, exact_disturbance):
+            values = fn(state, strengths)
+            assert values.shape == strengths.shape
+            assert values.tolist() == [fn(state, float(s)) for s in strengths]
+        eps = np.sqrt(2.0 * (1.0 - strengths))
+        eta = strengths * np.sqrt(2.0 / (1.0 + np.sqrt(1.0 - strengths**2)))
+        assert np.abs(exact_error(state, strengths) - eps).max() <= 1e-12
+        assert np.abs(exact_disturbance(state, strengths) - eta).max() <= 1e-12
+    with pytest.raises(ValueError):
+        exact_error(reference_input_state(), np.array([0.5, 1.5]))
 
 
 @settings(max_examples=40, deadline=None)

@@ -256,6 +256,12 @@ def test_depolarizing_channel_structure():
     assert len(one.operators) == 4
     two = depolarizing_channel(0.01, 2)
     assert len(two.operators) == 16
+    # sqrt(weight) times the Pauli products, identity first, first qubit most significant
+    paulis = [helpers.ID2, helpers.SX, helpers.SY, helpers.SZ]
+    p = 0.01 * 4.0 / 3.0
+    for k, (a, b) in enumerate((a, b) for a in paulis for b in paulis):
+        weight = 1.0 - p + p / 16.0 if k == 0 else p / 16.0
+        assert np.array_equal(two.operators[k], math.sqrt(weight) * np.kron(a, b))
     with pytest.raises(ValueError):
         depolarizing_channel(-0.1, 1)
     with pytest.raises(ValueError):
@@ -326,6 +332,14 @@ def test_apply_readout_confusion():
     # order of the readout tuple follows the measured qubits
     mixed_swapped = apply_readout_confusion(probs, model, (1, 0))
     assert np.allclose(mixed_swapped, [0.9, 0.1, 0.0, 0.0])
+    # leading axes hold separate distributions, each mixed exactly as on its own
+    four = compile_noise(representative_profile())
+    stack = np.random.default_rng(5).dirichlet(np.ones(16), size=(2, 3))
+    batched = apply_readout_confusion(stack, four, (1, 2, 3, 0))
+    for index in np.ndindex(2, 3):
+        assert np.array_equal(batched[index], apply_readout_confusion(stack[index], four, (1, 2, 3, 0)))
+    with pytest.raises(ValueError):
+        apply_readout_confusion(stack[..., :8], four, (1, 2, 3, 0))
 
 
 def test_noise_model_channel_placement():

@@ -198,24 +198,40 @@ def test_sigma_source_simulated():
 
 
 def test_evolution_count_does_not_scale_with_grid(monkeypatch):
-    calls = []
-    original = DensityMatrix.apply_unitary
+    steps, unitaries = [], []
+    original = DensityMatrix.apply_channel
 
-    def counting(self, u, targets):
-        calls.append(targets)
-        return original(self, u, targets)
+    def counting(self, channel, targets):
+        steps.append(targets)
+        return original(self, channel, targets)
 
-    monkeypatch.setattr(DensityMatrix, "apply_unitary", counting)
-    for profile, want in ((representative_profile(), 23), (None, 16)):
+    monkeypatch.setattr(DensityMatrix, "apply_channel", counting)
+    monkeypatch.setattr(DensityMatrix, "apply_unitary", lambda *args: unitaries.append(args))
+    # Every evolution is a loop of apply_channel steps.  Ideal: the 7-gate prefix
+    # once and the 3-gate meter tail at 3 meter angles, 7 + 3 x 3 = 16 steps.
+    # Representative noise: each gate is followed by its depolarizing channel and
+    # by relaxation on each of the 4 qubits, 6 steps per gate, so 7 x 6 + 3 x 3 x 6
+    # = 96, plus the noiseless 7-gate prefix once more for the exact reference: 103.
+    for profile, want in ((representative_profile(), 103), (None, 16)):
         counts = []
         for points in (11, 201):
-            calls.clear()
+            steps.clear()
             cfg = small_config(strengths=default_strength_grid(points), noise_profile=profile)
             assert len(run_sweep(cfg)) == points
-            counts.append(len(calls))
-        # the 7-gate prefix and 3 x 3 meter tails; a noisy sweep evolves the
-        # ideal prefix once more for the exact reference curves
+            counts.append(len(steps))
         assert counts == [want, want]
+    assert unitaries == []
+
+
+@pytest.mark.parametrize("probe", (0.05, 0.3, 0.7, 1.0))
+def test_ideal_exact_rows_match_closed_form_on_the_squares(probe):
+    strengths = default_strength_grid(41) + (2**-23, 1e-9, 1.0 - 1e-12)
+    rows = run_sweep(small_config(theta_w_strength=probe, strengths=strengths))
+    theta_w = angle_for_strength(probe)
+    for row in rows:
+        eps_sq, eta_sq = helpers.oracle_ideal_weak_valued_squares(theta_w, row.strength)
+        assert abs(row.epsilon_mean**2 - eps_sq) <= 1e-12
+        assert abs(row.eta_mean**2 - eta_sq) <= 1e-12
 
 
 def test_ideal_reference_state_is_the_evolved_prefix():
