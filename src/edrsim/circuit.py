@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cache
 
 from . import qsim
 
@@ -32,6 +31,13 @@ SINGLE_QUBIT_KINDS = ("rx", "ry", "h", "x")
 GATE_KINDS = SINGLE_QUBIT_KINDS + ("cnot",)
 
 _FIXED_MATRICES = {"h": qsim.H, "x": qsim.X, "cnot": qsim.CNOT}
+
+
+@cache
+def _fixed_channel(kind: str) -> qsim.KrausChannel:
+    """A fixed gate as its channel, built and checked once, on first use; building the
+    three at import would add to every start-up, also of runs that evolve nothing."""
+    return qsim.KrausChannel((_FIXED_MATRICES[kind],))
 
 
 def angle_for_strength(strength: float) -> float:
@@ -64,12 +70,13 @@ class GateOp:
         elif self.angle is not None:
             raise ValueError(f"{self.kind} takes no angle")
 
-    def matrix(self) -> np.ndarray:
+    def channel(self) -> qsim.KrausChannel:
+        """The gate as its one-operator channel; its completeness check is the unitarity check."""
         if self.kind == "rx":
-            return qsim.rx(self.angle)
+            return qsim.KrausChannel((qsim.rx(self.angle),))
         if self.kind == "ry":
-            return qsim.ry(self.angle)
-        return _FIXED_MATRICES[self.kind]
+            return qsim.KrausChannel((qsim.ry(self.angle),))
+        return _fixed_channel(self.kind)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 from typing import Callable
 
 from .bounds import EdrInputs, classify
@@ -124,12 +123,13 @@ def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
         return
-    path = Path(out)
     base = os.environ.get(OUTPUT_DIR_ENV)
-    if base and not path.is_absolute():
-        path = Path(base) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    path = os.path.join(base, out) if base and not os.path.isabs(out) else out
+    directory = os.path.dirname(path)
+    if directory:
+        os.makedirs(directory, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -17,17 +17,19 @@ probabilities or on sampled counts; it is the package's one estimator.
 Squared estimates can go slightly negative under sampling noise; they are
 reported raw alongside estimates clamped at zero before the square root.
 
-Every evolution runs ``compile_steps``' checked (channel, targets) steps
-through ``DensityMatrix.apply_channel``.  A sweep evolves the circuit once
-(``readout_basis``), not once per strength (``outcome_distribution``, kept as
-the per-point reference): the readout distribution is affine in (1, cos theta,
-sin theta) of the meter angle.  ``sample_counts`` then draws all of a point's
-shot batches from one seeded stream in one multinomial call.
+Every evolution runs ``compile_steps``' fused (superoperator, targets) steps
+through ``DensityMatrix.evolve``: a gate and the noise that follows it are
+one step.  A sweep evolves the circuit once (``readout_basis``), not once
+per strength (``outcome_distribution``, kept as the per-point reference):
+the readout distribution is affine in (1, cos theta, sin theta) of the
+meter angle.  ``sample_counts`` then draws all of a point's shot batches
+from one seeded stream in one multinomial call.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -37,20 +39,64 @@ from .noise import NoiseModel, apply_readout_confusion
 from .qsim import DensityMatrix, KrausChannel, ry
 
 
+@cache
+def _lift_map(targets: tuple[int, ...], onto: tuple[int, ...]) -> np.ndarray:
+    """Where a superoperator on ``targets`` lands in one on ``onto``, a superset, that acts
+    as the identity on the other qubits: each entry of the result is 1 + the flat index of
+    the entry it copies, or 0 where it is zero.  Memoised per (targets, onto)."""
+    rest = tuple(q for q in onto if q not in targets)
+    k, r, m = len(targets), len(rest), len(onto)
+    source = np.arange(1, 16**k + 1).reshape(4**k, 4**k)
+    # each half of kron's axes: target rows, target columns, rest rows, rest columns
+    wide = np.kron(source, np.eye(4**r, dtype=int)).reshape((2,) * (4 * m))
+    rows = [targets.index(q) if q in targets else 2 * k + rest.index(q) for q in onto]
+    cols = [k + targets.index(q) if q in targets else 2 * k + r + rest.index(q) for q in onto]
+    half = rows + cols
+    lifted = wide.transpose(half + [2 * m + a for a in half]).reshape(4**m, 4**m)
+    lifted.flags.writeable = False  # shared by every call with these qubits
+    return lifted
+
+
+def _lift(superop: np.ndarray, targets: tuple[int, ...], onto: tuple[int, ...]) -> np.ndarray:
+    """A superoperator on ``targets`` as one on ``onto``; its entries are copied, bit for bit."""
+    if targets == onto:
+        return superop
+    return np.concatenate(([0.0], superop.ravel()))[_lift_map(targets, onto)]
+
+
 def compile_steps(circuit: Circuit, noise: NoiseModel | None = None) -> tuple[tuple, ...]:
-    """The circuit as (channel, targets) steps: each gate as its one-operator channel,
-    checked here, once, then the noise channels that follow it."""
-    steps = []
+    """The circuit and its noise as fused (superoperator, targets) steps.
+
+    Every gate starts a step, as its one-operator channel; gates never merge,
+    so a noiseless circuit's steps are its gates' superoperators bit for bit.
+    Each noise channel joins the latest step that touches any of its qubits
+    when its targets are among that step's, lifted to the step's qubits, and
+    starts a step of its own otherwise.  No later step touches the qubits of
+    a channel that joins an earlier step, so the move changes only rounding.
+    Every channel was checked when it was built; the fused steps are not
+    checked again.
+    """
+    steps: list[tuple] = []
+    latest: dict[int, int] = {}  # qubit -> index of the last step that touches it
     for op in circuit.ops:
-        steps.append((KrausChannel((op.matrix(),)), op.qubits))
-        if noise is not None:
-            steps.extend(noise.channels_after(op, circuit.num_qubits))
+        latest.update(dict.fromkeys(op.qubits, len(steps)))
+        steps.append((op.channel().superop, op.qubits))
+        if noise is None:
+            continue
+        for channel, targets in noise.channels_after(op, circuit.num_qubits):
+            last = max((latest[q] for q in targets if q in latest), default=None)
+            if last is None or not set(targets) <= set(steps[last][1]):
+                latest.update(dict.fromkeys(targets, len(steps)))
+                steps.append((channel.superop, targets))
+            else:
+                superop, onto = steps[last]
+                steps[last] = (_lift(channel.superop, targets, onto) @ superop, onto)
     return tuple(steps)
 
 
 def _run(steps: Sequence[tuple], state: DensityMatrix) -> DensityMatrix:
-    for channel, targets in steps:
-        state = state.apply_channel(channel, targets)
+    for superop, targets in steps:
+        state = state.evolve(superop, targets)
     return state
 
 
@@ -81,6 +127,13 @@ def split_at_meter(circuit: Circuit) -> tuple[Circuit, Circuit]:
     return Circuit(n, circuit.ops[:start]), Circuit(n, circuit.ops[start:], circuit.measurements)
 
 
+@cache
+def _meter_rotations() -> tuple[np.ndarray, ...]:
+    """The meter's rotation at the three angles ``readout_basis`` evolves, built and checked
+    once, on first use."""
+    return tuple(KrausChannel((ry(angle),)).superop for angle in (0.0, math.pi / 2.0, math.pi))
+
+
 def readout_basis(
     theta_w: float, noise: NoiseModel | None = None
 ) -> tuple[np.ndarray, DensityMatrix]:
@@ -90,14 +143,20 @@ def readout_basis(
     A + B cos(theta) + C sin(theta): no op before the meter's rotation and no
     noise channel depends on theta, and the rest is linear in the meter state.
     So the prefix is evolved once and the tail three times, at theta = 0,
-    pi/2 and pi, which give A + B, A + C and A - B.  Both are compiled once;
-    only the meter's rotation is rebuilt per angle.
+    pi/2 and pi, which give A + B, A + C and A - B.  Both are compiled once,
+    the tail at theta = 0, where the meter's rotation is the identity: its
+    fused first step is then the noise after the rotation, and each angle
+    only composes its own rotation into that step.  The steps between it and
+    the next step on the meter act on other qubits, so they commute with the
+    rotation and are evolved once, before it.
     """
     prefix, tail = split_at_meter(build_edr_circuit(theta_w, 0.0))
     state = run_circuit(prefix, noise)
-    (_, meter), *rest = compile_steps(tail, noise)
-    ends = [_run(((KrausChannel((ry(angle),)), meter), *rest), state)
-            for angle in (0.0, math.pi / 2.0, math.pi)]
+    (after_meter, meter), *rest = compile_steps(tail, noise)
+    split = next((i for i, (_, targets) in enumerate(rest) if METER in targets), len(rest))
+    common = _run(rest[:split], state)
+    ends = [_run(((after_meter @ rotation, meter), *rest[split:]), common)
+            for rotation in _meter_rotations()]
     probs = np.stack([end.probabilities(tail.measured_qubits) for end in ends])
     if noise is not None:  # one confusion pass over the three tail distributions
         probs = apply_readout_confusion(probs, noise, tail.measured_qubits)

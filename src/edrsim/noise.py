@@ -57,10 +57,9 @@ Unknown keys are rejected.
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass
-from importlib import resources
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -205,16 +204,15 @@ def parse_profile(text: str) -> CalibrationProfile:
     return CalibrationProfile(qubits, **gate_values)
 
 
-def load_profile(path: str | Path) -> CalibrationProfile:
-    return parse_profile(Path(path).read_text(encoding="utf-8"))
+def load_profile(path: str | os.PathLike) -> CalibrationProfile:
+    with open(path, encoding="utf-8") as fh:
+        return parse_profile(fh.read())
 
 
 def representative_profile() -> CalibrationProfile:
     """The packaged illustrative four-qubit profile (see data/representative_profile.yaml)."""
-    text = resources.files("edrsim").joinpath("data/representative_profile.yaml").read_text(
-        encoding="utf-8"
-    )
-    return parse_profile(text)
+    here = os.path.dirname(__file__)
+    return load_profile(os.path.join(here, "data", "representative_profile.yaml"))
 
 
 # the Pauli basis of one and of two qubits, the identity first; [4a + b] = kron(P_a, P_b)
@@ -256,16 +254,20 @@ def thermal_relaxation_channel(
     coherence = math.exp(-t_us * rate)
     if gamma == 0.0 and coherence == 1.0:
         return None
-    damping = (
-        np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]], dtype=complex),
-        np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex),
+    # the products d @ a of the dephasing operators (p I, m Z) with the damping
+    # operators ([[1, 0], [0, r]], [[0, g], [0, 0]]), written out entry by entry
+    r, g = math.sqrt(1.0 - gamma), math.sqrt(gamma)
+    p, m = math.sqrt((1.0 + coherence) / 2.0), math.sqrt((1.0 - coherence) / 2.0)
+    ops = np.array(
+        [
+            [[p, 0.0], [0.0, p * r]],
+            [[0.0, p * g], [0.0, 0.0]],
+            [[m, 0.0], [0.0, -m * r]],
+            [[0.0, m * g], [0.0, 0.0]],
+        ],
+        dtype=complex,
     )
-    dephasing = (
-        math.sqrt((1.0 + coherence) / 2.0) * I2,
-        math.sqrt((1.0 - coherence) / 2.0) * Z,
-    )
-    ops = tuple(d @ a for d in dephasing for a in damping)
-    return KrausChannel(ops)
+    return KrausChannel(tuple(ops))
 
 
 def confusion_matrix(qubit: QubitCalibration) -> np.ndarray:

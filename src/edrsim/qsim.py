@@ -10,7 +10,7 @@ Numerical contracts, assuming double precision and registers of at most
 about ten qubits: equality-type checks use an absolute tolerance of
 ``ATOL`` (1e-12), and positive semidefiniteness admits eigenvalues down
 to ``PSD_FLOOR`` (-1e-10).  Hermiticity and unit trace are enforced on
-construction, but not on a gate's or channel's output (``check=False``), which
+construction, but not on an evolution's output (``check=False``), which
 a trace-preserving map keeps valid.  The eigenvalue check is only run by
 :meth:`DensityMatrix.validate`: it costs a full diagonalisation.
 """
@@ -136,16 +136,13 @@ class DensityMatrix:
         mat[0, 0] = 1.0
         return cls(num_qubits, mat)
 
-    def apply_unitary(self, u: np.ndarray, targets: Sequence[int]) -> "DensityMatrix":
-        """Conjugate by a unitary on ``targets`` (order defines the wiring), checked per call."""
-        return self._evolve(KrausChannel((u,)).superop, targets)
+    def evolve(self, superop: np.ndarray, targets: Sequence[int]) -> "DensityMatrix":
+        """rho -> S(rho) for a superoperator S on ``targets`` (their order defines the wiring).
 
-    def apply_channel(self, channel: KrausChannel, targets: Sequence[int]) -> "DensityMatrix":
-        """Apply a Kraus channel on ``targets``; the trace is preserved by completeness."""
-        return self._evolve(channel.superop, targets)
-
-    def _evolve(self, superop: np.ndarray, targets: Sequence[int]) -> "DensityMatrix":
-        """rho -> S(rho): S multiplies the target (row, column) axes of rho, moved to the front."""
+        S multiplies the target (row, column) axes of rho, moved to the front;
+        a ``KrausChannel``'s ``superop`` is one such S.  The targets and S's shape
+        are checked on every call; the trace is preserved when S is trace preserving.
+        """
         targets, n = tuple(targets), self.num_qubits
         order, back = _check_targets(targets, n)
         k = len(targets)

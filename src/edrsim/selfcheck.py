@@ -24,7 +24,7 @@ from .estimators import (
 )
 from .measurement import commutator_bound, exact_disturbance, exact_error, reference_input_state
 from .noise import compile_noise, confusion_matrix, representative_profile
-from .qsim import ATOL, CNOT, DensityMatrix, X, Z, ry
+from .qsim import ATOL, CNOT, DensityMatrix, KrausChannel, X, Z, ry
 
 
 def _random_state(rng: np.random.Generator) -> DensityMatrix:
@@ -76,13 +76,14 @@ def _check_sweep_basis() -> str:
 
 def _check_meter_statistics() -> str:
     rng = np.random.default_rng(7)
+    cnot = KrausChannel((CNOT,)).superop
     worst = 0.0
     for s in (0.0, 0.3, 1.0):
         meter = ry(angle_for_strength(s))[:, :1]
         for _ in range(5):
             rho = _random_state(rng).mat
             joint = DensityMatrix(2, np.kron(rho, meter @ meter.conj().T))
-            probs = joint.apply_unitary(CNOT, (0, 1)).probabilities([1])
+            probs = joint.evolve(cnot, (0, 1)).probabilities([1])
             # the induced two-outcome POVM (I +/- s Z)/2
             z = float((rho[0, 0] - rho[1, 1]).real)
             dev = float(np.abs(probs - [(1.0 + s * z) / 2.0, (1.0 - s * z) / 2.0]).max())

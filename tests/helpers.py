@@ -93,21 +93,30 @@ def oracle_apply_kraus(
     return out
 
 
-def oracle_noisy_outcome_distribution(circuit, noise) -> np.ndarray:
-    """Readout probabilities of ``circuit`` under ``noise`` from literal 2**n x 2**n algebra.
+def oracle_noisy_state(circuit, noise) -> np.ndarray:
+    """|0...0> evolved through ``circuit`` under ``noise`` by literal 2**n x 2**n algebra.
 
-    The gates and the channels that follow each gate come from the circuit and
-    from ``noise.channels_after``; every application goes through
-    ``oracle_apply_kraus``, and readout confusion is the kron of the measured
-    qubits' confusion matrices acting on the measured-bit distribution.
+    Each gate is applied and then, in order, the channels ``noise.channels_after``
+    lists for it; every application goes through ``oracle_apply_kraus``.
     """
     n = circuit.num_qubits
     rho = np.zeros((2**n, 2**n), dtype=complex)
     rho[0, 0] = 1.0
     for op in circuit.ops:
-        rho = oracle_apply_kraus(rho, [op.matrix()], list(op.qubits), n)
+        rho = oracle_apply_kraus(rho, list(op.channel().operators), list(op.qubits), n)
         for channel, targets in noise.channels_after(op, n):
             rho = oracle_apply_kraus(rho, list(channel.operators), list(targets), n)
+    return rho
+
+
+def oracle_noisy_outcome_distribution(circuit, noise) -> np.ndarray:
+    """Readout probabilities of ``circuit`` under ``noise`` from ``oracle_noisy_state``.
+
+    Readout confusion is the kron of the measured qubits' confusion matrices
+    acting on the measured-bit distribution.
+    """
+    n = circuit.num_qubits
+    rho = oracle_noisy_state(circuit, noise)
     measured = list(circuit.measured_qubits)
     probs = np.zeros(2 ** len(measured))
     for index in range(2**n):

@@ -7,17 +7,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from edrsim.circuit import angle_for_strength, build_edr_circuit
+from edrsim.circuit import Circuit, GateOp, angle_for_strength, build_edr_circuit
 from edrsim.estimators import (
     CORRELATOR_SIGNS,
     basis_probabilities,
+    compile_steps,
     outcome_distribution,
     readout_basis,
     run_circuit,
     sample_counts,
     weak_valued_squares,
 )
-from edrsim.noise import compile_noise, representative_profile
+from edrsim.noise import CalibrationProfile, QubitCalibration, compile_noise, representative_profile
+from edrsim.qsim import CNOT, DensityMatrix, KrausChannel
 
 THETA_W = angle_for_strength(0.05)
 
@@ -68,6 +70,108 @@ def test_readout_basis_matches_literal_noisy_oracle(bases, model_name, probe, st
     want = helpers.oracle_noisy_outcome_distribution(circuit, NOISE_MODELS[model_name])
     got = basis_probabilities(bases[model_name, probe], strength)
     assert np.abs(got - want).max() <= 1e-12
+
+
+@st.composite
+def calibration_profiles(draw):
+    """Four-qubit profiles whose qubits may be noiseless (their channels None), as may the gates."""
+    qubits = []
+    for _ in range(4):
+        t1 = draw(st.just(math.inf) | st.floats(2.0, 500.0))
+        if math.isinf(t1):
+            t2 = draw(st.just(math.inf) | st.floats(2.0, 500.0))
+        else:
+            t2 = draw(st.floats(0.05, 2.0)) * t1
+        readout = st.just(0.0) | st.floats(0.0, 0.2)
+        qubits.append(QubitCalibration(t1, t2, draw(readout), draw(readout)))
+    return CalibrationProfile(
+        tuple(qubits),
+        single_qubit_gate_error=draw(st.just(0.0) | st.floats(1e-5, 0.05)),
+        cnot_error=draw(st.just(0.0) | st.floats(1e-4, 0.1)),
+        single_qubit_gate_duration_ns=draw(st.floats(10.0, 500.0)),
+        cnot_duration_ns=draw(st.floats(50.0, 2000.0)),
+    )
+
+
+def unfused_run(circuit, model):
+    """The circuit evolved one gate and one channel at a time, in ``channels_after`` order."""
+    state = DensityMatrix.ground(circuit.num_qubits)
+    for op in circuit.ops:
+        state = state.evolve(op.channel().superop, op.qubits)
+        for channel, targets in model.channels_after(op, circuit.num_qubits):
+            state = state.evolve(channel.superop, targets)
+    return state
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    profile=calibration_profiles(),
+    include_idle=st.booleans(),
+    probe=st.floats(0.05, 1.0),
+    strength=st.floats(0.0, 1.0),
+)
+def test_fused_steps_match_unfused_loop_and_literal_oracle(profile, include_idle, probe, strength):
+    model = compile_noise(profile, include_idle=include_idle)
+    theta_w, theta = angle_for_strength(probe), angle_for_strength(strength)
+    circuit = build_edr_circuit(theta_w, theta)
+    fused = run_circuit(circuit, model)
+    assert np.abs(fused.mat - unfused_run(circuit, model).mat).max() <= 1e-12
+    assert np.abs(fused.mat - helpers.oracle_noisy_state(circuit, model)).max() <= 1e-12
+    want = helpers.oracle_noisy_outcome_distribution(circuit, model)
+    assert np.abs(outcome_distribution(theta_w, theta, model) - want).max() <= 1e-12
+    basis, _ = readout_basis(theta_w, model)
+    assert np.abs(basis_probabilities(basis, strength) - want).max() <= 1e-12
+
+
+def test_fusion_keeps_noise_between_gates_on_the_same_qubit():
+    # strong relaxation between two non-commuting gates on qubit 0, a reversed
+    # cnot whose step takes lifted one-qubit channels, and an untouched qubit 2
+    profile = CalibrationProfile(
+        (QubitCalibration(1.0, 1.5), QubitCalibration(2.0, 1.0), QubitCalibration(3.0, 0.5)),
+        single_qubit_gate_error=0.02,
+        cnot_error=0.05,
+        single_qubit_gate_duration_ns=400.0,
+        cnot_duration_ns=700.0,
+    )
+    ops = (GateOp("h", (0,)), GateOp("rx", (0,), 0.7), GateOp("cnot", (1, 0)),
+           GateOp("ry", (1,), 0.4), GateOp("h", (0,)), GateOp("cnot", (0, 2)))
+    circuit = Circuit(3, ops)
+    for include_idle, fused_steps in ((True, 8), (False, 6)):
+        model = compile_noise(profile, include_idle=include_idle)
+        want = helpers.oracle_noisy_state(circuit, model)
+        assert np.abs(run_circuit(circuit, model).mat - want).max() <= 1e-12
+        # one step per gate, plus one each for the idle relaxation of qubits 1 and 2
+        assert len(compile_steps(circuit, model)) == fused_steps
+    # gates never merge: one step per gate without noise
+    assert len(compile_steps(circuit)) == len(ops)
+    # the relaxation after the first h does not commute with the rx that follows it,
+    # so applying it after the rx instead would be visibly wrong
+    relax = list(model.relaxation[0, "single"].operators)
+    h, rx = (list(op.channel().operators) for op in ops[:2])
+
+    def apply(rho, kraus):
+        return helpers.oracle_apply_kraus(rho, kraus, [0], 1)
+
+    plus = apply(helpers.pure_density([1.0, 0.0]), h)
+    assert np.abs(apply(apply(plus, relax), rx) - apply(apply(plus, rx), relax)).max() > 1e-2
+
+
+def test_fusion_starts_a_step_for_a_channel_wider_than_the_latest_step():
+    class WideNoise:  # an asymmetric, complex two-qubit channel on (1, 0) after every gate
+        phased = CNOT @ np.diag([1.0, 1.0j, 1.0, 1.0j])
+        channel = KrausChannel((math.sqrt(0.7) * np.eye(4), math.sqrt(0.3) * phased))
+
+        def channels_after(self, op, num_qubits):
+            return [(self.channel, (1, 0))]
+
+    ops = (GateOp("h", (0,)), GateOp("ry", (1,), 0.3), GateOp("cnot", (0, 1)),
+           GateOp("rx", (0,), 1.1))
+    circuit = Circuit(2, ops)
+    # only the cnot's step covers both qubits; its channel joins it with the targets swapped
+    steps = compile_steps(circuit, WideNoise())
+    assert [targets for _, targets in steps] == [(0,), (1, 0), (1,), (1, 0), (0, 1), (0,), (1, 0)]
+    want = helpers.oracle_noisy_state(circuit, WideNoise())
+    assert np.abs(run_circuit(circuit, WideNoise()).mat - want).max() <= 1e-12
 
 
 def test_outcome_distribution_matches_independent_simulation():

@@ -15,7 +15,7 @@ from edrsim.measurement import (
     reference_input_state,
     standard_deviation,
 )
-from edrsim.qsim import CNOT, DensityMatrix, X, Y, Z, ry
+from edrsim.qsim import CNOT, DensityMatrix, KrausChannel, X, Y, Z, ry
 
 
 def test_reference_state_is_minus_y_eigenstate():
@@ -54,7 +54,7 @@ def test_meter_statistics_reproduce_povm():
         for _ in range(4):
             rho = helpers.rand_density(rng)
             joint = DensityMatrix(2, np.kron(rho, meter @ meter.conj().T))
-            probs = joint.apply_unitary(CNOT, (0, 1)).probabilities([1])
+            probs = joint.evolve(KrausChannel((CNOT,)).superop, (0, 1)).probabilities([1])
             joint_literal = np.kron(rho, np.outer(literal, literal.conj()))
             after = helpers.CX @ joint_literal @ helpers.CX.conj().T
             assert np.abs(probs - np.diag(after).real.reshape(2, 2).sum(axis=0)).max() < 1e-12

@@ -267,22 +267,22 @@ def test_depolarizing_channel_structure():
     with pytest.raises(ValueError):
         depolarizing_channel(0.01, 3)
     # the mixing probability saturates at 1: error 0.9 and 0.5 coincide for one qubit
-    saturated = DensityMatrix.ground(1).apply_channel(depolarizing_channel(0.9, 1), [0])
+    saturated = DensityMatrix.ground(1).evolve(depolarizing_channel(0.9, 1).superop, [0])
     assert np.abs(saturated.mat - I2 / 2.0).max() < 1e-12
 
 
 def test_depolarizing_channel_action():
     # full-strength single-qubit depolarizing sends everything to I/2
     full = depolarizing_channel(0.75, 1)
-    state = DensityMatrix.ground(1).apply_channel(full, [0])
+    state = DensityMatrix.ground(1).evolve(full.superop, [0])
     assert np.abs(state.mat - I2 / 2.0).max() < 1e-12
     # maximally mixed state is a fixed point at any error rate
     mixed = DensityMatrix(1, I2 / 2.0)
-    out = mixed.apply_channel(depolarizing_channel(0.3, 1), [0])
+    out = mixed.evolve(depolarizing_channel(0.3, 1).superop, [0])
     assert np.abs(out.mat - I2 / 2.0).max() < 1e-12
     # contraction factor on traceless components is 1 - error*d/(d-1)
     plus = DensityMatrix(1, helpers.pure_density(np.array([1.0, 1.0]) / math.sqrt(2.0)))
-    shrunk = plus.apply_channel(depolarizing_channel(0.03, 1), [0])
+    shrunk = plus.evolve(depolarizing_channel(0.03, 1).superop, [0])
     assert abs(shrunk.expectation(X) - (1.0 - 0.03 * 2.0)) < 1e-12
 
 
@@ -291,11 +291,11 @@ def test_thermal_relaxation_limits():
     assert thermal_relaxation_channel(50.0, 50.0, 0.0) is None
     channel = thermal_relaxation_channel(50.0, 70.0, 1000.0)
     excited = DensityMatrix(1, helpers.pure_density([0.0, 1.0]))
-    decayed = excited.apply_channel(channel, [0])
+    decayed = excited.evolve(channel.superop, [0])
     want_pop = math.exp(-1.0 / 50.0)  # 1000 ns against T1 = 50 us
     assert abs((1.0 - decayed.expectation(Z)) / 2.0 - want_pop) < 1e-12
     # ground state is a fixed point
-    ground = DensityMatrix.ground(1).apply_channel(channel, [0])
+    ground = DensityMatrix.ground(1).evolve(channel.superop, [0])
     assert np.abs(ground.mat - DensityMatrix.ground(1).mat).max() < 1e-12
 
 
@@ -303,8 +303,38 @@ def test_thermal_relaxation_coherence_decay():
     t1, t2, dt = 80.0, 60.0, 500.0
     channel = thermal_relaxation_channel(t1, t2, dt)
     plus = DensityMatrix(1, helpers.pure_density(np.array([1.0, 1.0]) / math.sqrt(2.0)))
-    out = plus.apply_channel(channel, [0])
+    out = plus.evolve(channel.superop, [0])
     assert abs(out.expectation(X) - math.exp(-(dt / 1000.0) / t2)) < 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    t1=st.floats(0.5, 1e4) | st.just(math.inf),
+    t2_share=st.floats(0.01, 2.0),
+    duration=st.sampled_from((0.0, 35.0, 300.0, 700.0)) | st.floats(0.0, 1e6),
+)
+def test_thermal_relaxation_operators_are_the_literal_products_bit_for_bit(t1, t2_share, duration):
+    # the four Kraus operators are written out entry by entry; they must equal
+    # the products d @ a of dephasing (d) and amplitude-damping (a) operators
+    t2 = math.inf if math.isinf(t1) else min(t2_share * t1, 2.0 * t1)
+    channel = thermal_relaxation_channel(t1, t2, duration)
+    t_us = duration / 1000.0
+    gamma = -math.expm1(-t_us / t1) if math.isfinite(t1) else 0.0
+    rate = 1.0 / t2 if math.isfinite(t2) else 0.0
+    rate -= 1.0 / (2.0 * t1) if math.isfinite(t1) else 0.0
+    coherence = math.exp(-t_us * rate)
+    if channel is None:
+        assert gamma == 0.0 and coherence == 1.0
+        return
+    damping = (
+        np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]], dtype=complex),
+        np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex),
+    )
+    dephasing = (math.sqrt((1.0 + coherence) / 2.0) * I2, math.sqrt((1.0 - coherence) / 2.0) * Z)
+    products = [d @ a for d in dephasing for a in damping]
+    assert len(channel.operators) == 4
+    for got, want in zip(channel.operators, products):
+        assert np.array_equal(got, want)
 
 
 def test_confusion_matrix_properties():

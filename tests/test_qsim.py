@@ -43,7 +43,7 @@ def test_apply_unitary_matches_literal_kron():
         (2, CNOT, [0, 1], CNOT),
     ):
         rho = helpers.rand_density(rng, 2**n)
-        got = DensityMatrix(n, rho).apply_unitary(u, targets).mat
+        got = DensityMatrix(n, rho).evolve(KrausChannel((u,)).superop, targets).mat
         assert np.abs(got - full @ rho @ full.conj().T).max() < 1e-15
 
 
@@ -52,7 +52,8 @@ def test_apply_unitary_respects_target_order():
     for basis in range(8):
         ket = np.zeros(8)
         ket[basis] = 1.0
-        got = DensityMatrix(3, helpers.pure_density(ket)).apply_unitary(CNOT, [2, 0]).mat
+        state = DensityMatrix(3, helpers.pure_density(ket))
+        got = state.evolve(KrausChannel((CNOT,)).superop, [2, 0]).mat
         bits = [(basis >> (2 - q)) & 1 for q in range(3)]
         out = bits.copy()
         if bits[2] == 1:
@@ -64,22 +65,18 @@ def test_apply_unitary_respects_target_order():
 
 def test_evolution_rejects_bad_targets():
     state = DensityMatrix.ground(2)
-    flip = KrausChannel((X,))
-    cnot = KrausChannel((CNOT,))
-    with pytest.raises(ValueError):
-        state.apply_unitary(X, [2])
-    with pytest.raises(ValueError):
-        state.apply_channel(flip, [2])
-    with pytest.raises(ValueError):
-        state.apply_unitary(CNOT, [0, 0])
-    with pytest.raises(ValueError):
-        state.apply_channel(cnot, [0, 0])
-    with pytest.raises(ValueError):
-        state.apply_unitary(CNOT, [0])
-    with pytest.raises(ValueError):
-        state.apply_channel(cnot, [0])
-    with pytest.raises(ValueError):
-        state.apply_channel(flip, [])
+    flip = KrausChannel((X,)).superop
+    cnot = KrausChannel((CNOT,)).superop
+    with pytest.raises(ValueError, match="outside register"):
+        state.evolve(flip, [2])
+    with pytest.raises(ValueError, match="duplicate"):
+        state.evolve(cnot, [0, 0])
+    with pytest.raises(ValueError, match="does not act on 1 target"):
+        state.evolve(cnot, [0])
+    with pytest.raises(ValueError, match="does not act on 2 target"):
+        state.evolve(flip, [0, 1])
+    with pytest.raises(ValueError, match="no target"):
+        state.evolve(flip, [])
 
 
 def test_ground_state():
@@ -110,7 +107,7 @@ def test_product_ordering():
 def test_apply_unitary_requires_unitary():
     state = DensityMatrix.ground(1)
     with pytest.raises(ValueError):
-        state.apply_unitary(np.array([[1.0, 0.0], [0.0, 2.0]]), [0])
+        state.evolve(KrausChannel((np.array([[1.0, 0.0], [0.0, 2.0]]),)).superop, [0])
 
 
 def test_partial_trace_of_product_state():
@@ -124,7 +121,8 @@ def test_partial_trace_of_product_state():
 
 
 def test_partial_trace_of_entangled_state():
-    bell = DensityMatrix.ground(2).apply_unitary(H, [0]).apply_unitary(CNOT, [0, 1])
+    hadamard, cnot = KrausChannel((H,)).superop, KrausChannel((CNOT,)).superop
+    bell = DensityMatrix.ground(2).evolve(hadamard, [0]).evolve(cnot, [0, 1])
     for q in (0, 1):
         reduced = bell.partial_trace([q])
         assert np.abs(reduced.mat - I2 / 2.0).max() < 1e-13
@@ -153,7 +151,7 @@ def test_kraus_channel_validation():
         KrausChannel((0.5 * I2,))
     flip = KrausChannel((math.sqrt(0.75) * I2, math.sqrt(0.25) * X))
     assert flip.superop.shape == (4, 4)  # a one-qubit channel
-    state = DensityMatrix.ground(1).apply_channel(flip, [0])
+    state = DensityMatrix.ground(1).evolve(flip.superop, [0])
     assert abs(state.expectation(Z) - 0.5) < 1e-12
 
 
@@ -162,7 +160,7 @@ def test_apply_channel_on_one_of_two_qubits():
     ops = tuple(m / 2.0 for m in (I2, X, Y, Z))
     depol = KrausChannel(ops)
     rho = helpers.pure_density(np.array([1.0, -1.0j]) / math.sqrt(2.0), [0.0, 1.0])
-    state = DensityMatrix(2, rho).apply_channel(depol, [0])
+    state = DensityMatrix(2, rho).evolve(depol.superop, [0])
     assert np.abs(state.partial_trace([0]).mat - I2 / 2.0).max() < 1e-12
     assert abs(state.partial_trace([1]).expectation(Z) + 1.0) < 1e-12
 
@@ -174,7 +172,7 @@ def test_unitary_evolution_preserves_state_axioms(seed):
     state = DensityMatrix(2, helpers.rand_density(rng, 4))
     u = helpers.rand_unitary(rng, 2)
     target = int(rng.integers(0, 2))
-    evolved = state.apply_unitary(u, [target]).validate()
+    evolved = state.evolve(KrausChannel((u,)).superop, [target]).validate()
     assert abs(np.trace(evolved.mat).real - 1.0) < 1e-10
     assert abs(helpers.purity(evolved.mat) - helpers.purity(state.mat)) < 1e-10
 
@@ -189,7 +187,7 @@ def test_channel_evolution_preserves_state_axioms(seed):
     ops = tuple(big[i * 2:(i + 1) * 2, 0:2] for i in range(2))
     channel = KrausChannel(ops)
     target = int(rng.integers(0, 2))
-    evolved = state.apply_channel(channel, [target]).validate()
+    evolved = state.evolve(channel.superop, [target]).validate()
     assert abs(np.trace(evolved.mat).real - 1.0) < 1e-10
     assert helpers.purity(evolved.mat) <= 1.0 + 1e-10
     probs = evolved.probabilities()
@@ -233,10 +231,7 @@ def _check_evolution_against_oracle(n, targets, kind, seed):
     rho = helpers.rand_density(rng, 2**n)
     ops = _kraus_operators(kind, len(targets), rng)
     state = DensityMatrix(n, rho)
-    if kind == "unitary":
-        got = state.apply_unitary(ops[0], targets)
-    else:
-        got = state.apply_channel(KrausChannel(tuple(ops)), targets)
+    got = state.evolve(KrausChannel(tuple(ops)).superop, targets)
     want = helpers.oracle_apply_kraus(rho, ops, list(targets), n)
     assert np.abs(got.mat - want).max() <= 1e-12
     got.validate()  # evolution skips the construction checks; the full check still holds

@@ -198,21 +198,23 @@ def test_sigma_source_simulated():
 
 
 def test_evolution_count_does_not_scale_with_grid(monkeypatch):
-    steps, unitaries = [], []
-    original = DensityMatrix.apply_channel
+    steps = []
+    original = DensityMatrix.evolve
 
-    def counting(self, channel, targets):
+    def counting(self, superop, targets):
         steps.append(targets)
-        return original(self, channel, targets)
+        return original(self, superop, targets)
 
-    monkeypatch.setattr(DensityMatrix, "apply_channel", counting)
-    monkeypatch.setattr(DensityMatrix, "apply_unitary", lambda *args: unitaries.append(args))
-    # Every evolution is a loop of apply_channel steps.  Ideal: the 7-gate prefix
-    # once and the 3-gate meter tail at 3 meter angles, 7 + 3 x 3 = 16 steps.
-    # Representative noise: each gate is followed by its depolarizing channel and
-    # by relaxation on each of the 4 qubits, 6 steps per gate, so 7 x 6 + 3 x 3 x 6
-    # = 96, plus the noiseless 7-gate prefix once more for the exact reference: 103.
-    for profile, want in ((representative_profile(), 103), (None, 16)):
+    monkeypatch.setattr(DensityMatrix, "evolve", counting)
+    # Every evolution is a loop of fused steps, one per gate plus one per channel
+    # with no earlier step on its qubits.  Ideal: the 7-gate prefix once and the
+    # 3-gate meter tail at 3 meter angles, 7 + 3 x 3 = 16 steps.  Representative
+    # noise: the prefix's 7 gates, plus one step each for the relaxation of qubits
+    # 1, 2 and 3 before their first gate, 10; the tail's steps for the relaxation
+    # of qubits 0, 1 and 2, which follows the meter's rotation before any tail gate
+    # touches them, once, 3; the tail's 3 gates at 3 meter angles, 9; and the
+    # noiseless 7-gate prefix once more for the exact reference: 10 + 3 + 9 + 7 = 29.
+    for profile, want in ((representative_profile(), 29), (None, 16)):
         counts = []
         for points in (11, 201):
             steps.clear()
@@ -220,7 +222,6 @@ def test_evolution_count_does_not_scale_with_grid(monkeypatch):
             assert len(run_sweep(cfg)) == points
             counts.append(len(steps))
         assert counts == [want, want]
-    assert unitaries == []
 
 
 @pytest.mark.parametrize("probe", (0.05, 0.3, 0.7, 1.0))
