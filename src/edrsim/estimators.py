@@ -24,12 +24,19 @@ per strength (``outcome_distribution``, kept as the per-point reference):
 the readout distribution is affine in (1, cos theta, sin theta) of the
 meter angle.  ``sample_counts`` then draws all of a point's shot batches
 from one seeded stream in one multinomial call.
+
+The steps ``readout_basis`` and ``prefix_state`` evolve are compiled once
+per (theta_w, noise model) and memoised for the last ``_CACHED_CIRCUITS``
+pairs a process used; noise models are themselves memoised per calibration
+(``compile_noise``), so a repeat sweep compiles nothing and only evolves.
+Every compiled step is read-only, so no caller can change what a later one
+evolves.  States and distributions are never cached.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cache
+from functools import cache, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -37,6 +44,8 @@ import numpy as np
 from .circuit import METER, Circuit, build_edr_circuit
 from .noise import NoiseModel, apply_readout_confusion
 from .qsim import DensityMatrix, KrausChannel, ry
+
+_CACHED_CIRCUITS = 16  # compiled (theta_w, noise) pairs kept; a noisy sweep uses two
 
 
 @cache
@@ -74,7 +83,7 @@ def compile_steps(circuit: Circuit, noise: NoiseModel | None = None) -> tuple[tu
     starts a step of its own otherwise.  No later step touches the qubits of
     a channel that joins an earlier step, so the move changes only rounding.
     Every channel was checked when it was built; the fused steps are not
-    checked again.
+    checked again.  Every superoperator returned is read-only.
     """
     steps: list[tuple] = []
     latest: dict[int, int] = {}  # qubit -> index of the last step that touches it
@@ -91,6 +100,8 @@ def compile_steps(circuit: Circuit, noise: NoiseModel | None = None) -> tuple[tu
             else:
                 superop, onto = steps[last]
                 steps[last] = (_lift(channel.superop, targets, onto) @ superop, onto)
+    for superop, _ in steps:
+        superop.flags.writeable = False
     return tuple(steps)
 
 
@@ -134,6 +145,36 @@ def _meter_rotations() -> tuple[np.ndarray, ...]:
     return tuple(KrausChannel((ry(angle),)).superop for angle in (0.0, math.pi / 2.0, math.pi))
 
 
+@lru_cache(maxsize=_CACHED_CIRCUITS)
+def _compiled(theta_w: float, noise: NoiseModel | None) -> tuple:
+    """The experiment at probe angle theta_w as ``readout_basis`` evolves it: (register
+    size, prefix steps, tail steps every meter angle shares, each angle's own tail steps,
+    measured qubits).
+
+    The tail is compiled at theta = 0, where the meter's rotation is the
+    identity: its fused first step is then the noise after the rotation, and
+    each angle's steps start with its own rotation composed into that step.
+    The steps between it and the next step on the meter act on other qubits,
+    so they commute with the rotation and are shared.
+    """
+    prefix, tail = split_at_meter(build_edr_circuit(theta_w, 0.0))
+    (after_meter, meter), *rest = compile_steps(tail, noise)
+    split = next((i for i, (_, targets) in enumerate(rest) if METER in targets), len(rest))
+    angles = []
+    for rotation in _meter_rotations():
+        first = after_meter @ rotation
+        first.flags.writeable = False
+        angles.append(((first, meter), *rest[split:]))
+    return (prefix.num_qubits, compile_steps(prefix, noise), tuple(rest[:split]), tuple(angles),
+            tail.measured_qubits)
+
+
+def prefix_state(theta_w: float, noise: NoiseModel | None = None) -> DensityMatrix:
+    """The register after both weak probes, before the meter's rotation."""
+    num_qubits, prefix, *_ = _compiled(theta_w, noise)
+    return _run(prefix, DensityMatrix.ground(num_qubits))
+
+
 def readout_basis(
     theta_w: float, noise: NoiseModel | None = None
 ) -> tuple[np.ndarray, DensityMatrix]:
@@ -143,23 +184,15 @@ def readout_basis(
     A + B cos(theta) + C sin(theta): no op before the meter's rotation and no
     noise channel depends on theta, and the rest is linear in the meter state.
     So the prefix is evolved once and the tail three times, at theta = 0,
-    pi/2 and pi, which give A + B, A + C and A - B.  Both are compiled once,
-    the tail at theta = 0, where the meter's rotation is the identity: its
-    fused first step is then the noise after the rotation, and each angle
-    only composes its own rotation into that step.  The steps between it and
-    the next step on the meter act on other qubits, so they commute with the
-    rotation and are evolved once, before it.
+    pi/2 and pi, which give A + B, A + C and A - B, through the steps
+    ``_compiled`` memoises; the tail's shared steps are evolved once.
     """
-    prefix, tail = split_at_meter(build_edr_circuit(theta_w, 0.0))
-    state = run_circuit(prefix, noise)
-    (after_meter, meter), *rest = compile_steps(tail, noise)
-    split = next((i for i, (_, targets) in enumerate(rest) if METER in targets), len(rest))
-    common = _run(rest[:split], state)
-    ends = [_run(((after_meter @ rotation, meter), *rest[split:]), common)
-            for rotation in _meter_rotations()]
-    probs = np.stack([end.probabilities(tail.measured_qubits) for end in ends])
+    _, _, common, angles, measured = _compiled(theta_w, noise)
+    state = prefix_state(theta_w, noise)
+    shared = _run(common, state)
+    probs = np.stack([_run(steps, shared).probabilities(measured) for steps in angles])
     if noise is not None:  # one confusion pass over the three tail distributions
-        probs = apply_readout_confusion(probs, noise, tail.measured_qubits)
+        probs = apply_readout_confusion(probs, noise, measured)
     plus, mid, minus = probs
     a = (plus + minus) / 2.0
     return np.stack([a, (plus - minus) / 2.0, mid - a]), state

@@ -52,6 +52,12 @@ errors) or the duration defaults above.  ``readout_duration_ns`` is
 recorded for completeness but does not enter the compiled channels;
 confusion matrices as calibrated already include decay during readout.
 Unknown keys are rejected.
+
+``compile_noise`` is memoised on (profile, include_idle), for the last
+``_CACHED_MODELS`` pairs a process used: a repeat sweep of one calibration
+reuses its model, whose mappings and arrays are read-only, so no caller can
+change what a later one receives.  Profiles are frozen and compare by
+value, so an equal profile parsed again hits the same entry.
 """
 
 from __future__ import annotations
@@ -60,7 +66,9 @@ import math
 import os
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -68,6 +76,7 @@ from .circuit import GateOp
 from .qsim import I2, X, Y, Z, KrausChannel
 
 SCHEMA_VERSION = 1
+_CACHED_MODELS = 8  # compiled models kept per process; each holds a few kB of channels
 
 _QUBIT_FIELDS = ("t1_us", "t2_us", "readout_error_01", "readout_error_10")
 _GATE_FIELD_DEFAULTS = {
@@ -276,14 +285,18 @@ def confusion_matrix(qubit: QubitCalibration) -> np.ndarray:
     return np.array([[1.0 - e01, e10], [e01, 1.0 - e10]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseModel:
-    """Channels compiled from a profile, keyed by gate class and qubit."""
+    """Channels compiled from a profile, keyed by gate class and qubit.
+
+    Read-only throughout, since ``compile_noise`` shares one model among its
+    callers; models hash and compare by identity.
+    """
 
     profile: CalibrationProfile
     include_idle: bool
-    gate_depolarizing: dict[str, KrausChannel | None]
-    relaxation: dict[tuple[int, str], KrausChannel | None]
+    gate_depolarizing: Mapping[str, KrausChannel | None]
+    relaxation: Mapping[tuple[int, str], KrausChannel | None]
     confusion: tuple[np.ndarray, ...]
 
     def channels_after(
@@ -308,7 +321,15 @@ class NoiseModel:
 
 
 def compile_noise(profile: CalibrationProfile, *, include_idle: bool = True) -> NoiseModel:
-    """Precompute every channel the model can emit for the given profile."""
+    """Every channel the model can emit for the given profile, built once per process.
+
+    Memoised on (profile, include_idle), so repeat calls return the same model.
+    """
+    return _compile_noise(profile, include_idle)
+
+
+@lru_cache(maxsize=_CACHED_MODELS)
+def _compile_noise(profile: CalibrationProfile, include_idle: bool) -> NoiseModel:
     gate_depolarizing = {
         "single": depolarizing_channel(profile.single_qubit_gate_error, 1),
         "cnot": depolarizing_channel(profile.cnot_error, 2),
@@ -323,7 +344,10 @@ def compile_noise(profile: CalibrationProfile, *, include_idle: bool = True) -> 
         for gate_class, duration in durations.items()
     }
     confusion = tuple(confusion_matrix(qubit) for qubit in profile.qubits)
-    return NoiseModel(profile, include_idle, gate_depolarizing, relaxation, confusion)
+    for matrix in confusion:
+        matrix.flags.writeable = False
+    return NoiseModel(profile, include_idle, MappingProxyType(gate_depolarizing),
+                      MappingProxyType(relaxation), confusion)
 
 
 def apply_readout_confusion(

@@ -40,6 +40,8 @@ CNOT = np.array(
     ],
     dtype=complex,
 )
+for _gate in (I2, X, Y, Z, H, CNOT):  # shared by every caller, and the fixed gates' channels
+    _gate.flags.writeable = False
 
 
 def rx(angle: float) -> np.ndarray:
@@ -81,7 +83,8 @@ class KrausChannel:
     """A completely positive trace-preserving map given by Kraus operators.
 
     Completeness (sum of K^dagger K equal to the identity within ``ATOL``)
-    is checked, and the superoperator sum K x conj(K) built, on construction.
+    is checked, and the superoperator sum K x conj(K) built, on construction;
+    the superoperator is read-only.
     """
 
     operators: tuple[np.ndarray, ...]
@@ -103,7 +106,9 @@ class KrausChannel:
         if dev > ATOL:
             raise ValueError(f"Kraus operators are not complete (deviation {dev:.3e})")
         superop = np.einsum("kia,kjb->ijab", stack, stack.conj())  # S[(i, j), (a, b)]
-        object.__setattr__(self, "superop", superop.reshape(dim * dim, dim * dim))
+        superop = superop.reshape(dim * dim, dim * dim)
+        superop.flags.writeable = False  # memoised channels and compiled steps share it
+        object.__setattr__(self, "superop", superop)
 
 
 @dataclass(frozen=True)

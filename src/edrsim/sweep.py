@@ -30,13 +30,12 @@ from typing import NamedTuple, Sequence, get_type_hints
 import numpy as np
 
 from . import bounds as edr_bounds
-from .circuit import SYSTEM, angle_for_strength, build_edr_circuit
+from .circuit import SYSTEM, angle_for_strength
 from .estimators import (
     basis_probabilities,
+    prefix_state,
     readout_basis,
-    run_circuit,
     sample_counts,
-    split_at_meter,
     weak_valued_squares,
 )
 from .measurement import exact_disturbance, exact_error, reference_input_state, standard_deviation
@@ -124,8 +123,7 @@ CSV_COLUMNS = SweepResultRow._fields
 
 def post_probe_system_state(theta_w: float, noise: NoiseModel | None = None) -> DensityMatrix:
     """Reduced system state after both weak probes, before the main measurement."""
-    prefix, _ = split_at_meter(build_edr_circuit(theta_w, 0.0))
-    return run_circuit(prefix, noise).partial_trace([SYSTEM])
+    return prefix_state(theta_w, noise).partial_trace([SYSTEM])
 
 
 def _sequential_mean(values: np.ndarray) -> np.ndarray:

@@ -7,7 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from edrsim.circuit import Circuit, GateOp, angle_for_strength, build_edr_circuit
+import edrsim.estimators
+import edrsim.qsim
+from edrsim.circuit import Circuit, GateOp, _fixed_channel, angle_for_strength, build_edr_circuit
 from edrsim.estimators import (
     CORRELATOR_SIGNS,
     basis_probabilities,
@@ -227,6 +229,24 @@ def test_frozen_point_values():
     eps_sq, eta_sq = weak_valued_squares(probs, THETA_W)
     assert abs(eps_sq - 0.0025015644561822) < 1e-12
     assert abs(math.sqrt(max(eta_sq, 0.0)) - math.sqrt(2.0)) < 1e-12
+
+
+@pytest.mark.parametrize("model_name", sorted(NOISE_MODELS))
+def test_memoised_arrays_are_read_only(model_name):
+    # every sweep in a process reads these arrays; one in-place write would
+    # corrupt all later sweeps, so each must refuse it
+    _, prefix, common, angles, _ = edrsim.estimators._compiled(THETA_W, NOISE_MODELS[model_name])
+    arrays = [_fixed_channel(kind).superop for kind in ("h", "x", "cnot")]
+    arrays += [_fixed_channel(kind).operators[0] for kind in ("h", "x", "cnot")]
+    arrays += [edrsim.qsim.I2, edrsim.qsim.X, edrsim.qsim.Y, edrsim.qsim.Z]
+    arrays += edrsim.estimators._meter_rotations()
+    arrays += [superop for steps in (prefix, common, *angles) for superop, _ in steps]
+    arrays.append(KrausChannel((np.eye(2),)).superop)
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            array *= 1.0
 
 
 def test_run_circuit_noiseless_is_pure():

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+import edrsim.noise
 from edrsim.circuit import GateOp, angle_for_strength
 from edrsim.estimators import outcome_distribution
 from edrsim.noise import (
@@ -391,6 +392,28 @@ def test_noise_model_channel_placement():
     assert kinds[0][0].superop.shape == (16, 16)  # a two-qubit channel
     with pytest.raises(ValueError):
         compile_noise(parse_profile(MINIMAL_YAML)).channels_after(op, 4)
+
+
+def test_compile_noise_is_memoised_read_only_and_bounded():
+    model = compile_noise(representative_profile())
+    # an equal profile read again and the spelled-out default keyword hit one entry
+    assert compile_noise(representative_profile(), include_idle=True) is model
+    assert compile_noise(representative_profile(), include_idle=False) is not model
+    # one model is shared by every caller, so none may change it
+    with pytest.raises(TypeError):
+        model.relaxation[0, "single"] = None
+    with pytest.raises(TypeError):
+        model.gate_depolarizing["cnot"] = None
+    with pytest.raises(FrozenInstanceError):
+        model.include_idle = False
+    channels = [*model.gate_depolarizing.values(), *model.relaxation.values()]
+    for array in [*model.confusion, *(channel.superop for channel in channels)]:
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.5
+    bound = edrsim.noise._compile_noise.cache_parameters()["maxsize"]
+    for k in range(bound + 3):
+        compile_noise(CalibrationProfile((QubitCalibration(),), cnot_error=0.001 * (k + 1)))
+    assert edrsim.noise._compile_noise.cache_info().currsize == bound
 
 
 def test_noisy_distribution_is_still_a_distribution():

@@ -1,5 +1,9 @@
 import json
 import math
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
@@ -9,6 +13,8 @@ from hypothesis import strategies as st
 
 import helpers
 import edrsim.bounds
+import edrsim.estimators
+import edrsim.noise
 import edrsim.sweep
 from edrsim.bounds import effective_bound
 from edrsim.circuit import SYSTEM, angle_for_strength
@@ -21,7 +27,7 @@ from edrsim.estimators import (
 )
 from edrsim.measurement import reference_input_state, standard_deviation
 from edrsim.noise import compile_noise, representative_profile
-from edrsim.qsim import DensityMatrix, X, Z
+from edrsim.qsim import DensityMatrix, KrausChannel, X, Z
 from edrsim.sweep import (
     CSV_COLUMNS,
     SweepConfig,
@@ -33,6 +39,7 @@ from edrsim.sweep import (
     post_probe_system_state,
     run_sweep,
 )
+from test_estimators import calibration_profiles
 
 
 def small_config(**overrides):
@@ -222,6 +229,78 @@ def test_evolution_count_does_not_scale_with_grid(monkeypatch):
             assert len(run_sweep(cfg)) == points
             counts.append(len(steps))
         assert counts == [want, want]
+
+
+def test_repeat_sweep_compiles_nothing_and_still_evolves(monkeypatch):
+    cfg = small_config(noise_profile=representative_profile(), mode="both", sigma_source="simulated")
+    first = run_sweep(cfg)
+    calls = []
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(KrausChannel, "__post_init__",
+                        counting("KrausChannel", KrausChannel.__post_init__))
+    monkeypatch.setattr(DensityMatrix, "evolve", counting("evolve", DensityMatrix.evolve))
+    for module, name in ((edrsim.estimators, "compile_steps"),
+                         (edrsim.noise, "depolarizing_channel"),
+                         (edrsim.noise, "thermal_relaxation_channel")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    assert run_sweep(cfg) == first
+    # the 29 evolutions of test_evolution_count_does_not_scale_with_grid, and nothing built
+    assert calls == ["evolve"] * 29
+
+
+def test_compiled_circuits_stay_within_their_bound():
+    compiled = edrsim.estimators._compiled
+    bound = compiled.cache_parameters()["maxsize"]
+    profile = representative_profile()
+    for k in range(bound + 1):  # each noisy sweep compiles two (theta_w, noise) pairs
+        run_sweep(small_config(theta_w_strength=0.2 + 0.01 * k, noise_profile=profile))
+    assert compiled.cache_info().currsize == bound
+
+
+STALE_A_ARGS = ("--grid", "5", "--shots", "2000", "--repeats", "2", "--seed", "99",
+                "--mode", "both", "--sigma-source", "simulated", "--noise", "representative")
+
+
+@pytest.fixture(scope="module")
+def cli_sweep_a(tmp_path_factory):
+    """CSV and JSON of sweep A, each from its own ``python -m edrsim sweep`` process."""
+    out = {}
+    for fmt in ("csv", "json"):
+        path = tmp_path_factory.mktemp("cli") / f"a.{fmt}"
+        result = subprocess.run(
+            [sys.executable, "-m", "edrsim", "sweep", *STALE_A_ARGS, "--format", fmt,
+             "--out", str(path)],
+            capture_output=True, text=True, cwd=Path(__file__).resolve().parents[1],
+        )
+        assert result.returncode == 0, result.stderr
+        out[fmt] = path.read_text(encoding="utf-8")
+    return out["csv"], out["json"]
+
+
+@settings(max_examples=8, deadline=None)
+@given(profile=calibration_profiles())
+def test_cached_compiles_are_never_stale(cli_sweep_a, profile):
+    cfg = SweepConfig(strengths=default_strength_grid(5), shots=2000, repeats=2, seed=99,
+                      mode="both", sigma_source="simulated",
+                      noise_profile=representative_profile(), noise_path="representative")
+
+    def emitted(config):
+        rows = run_sweep(config)
+        return emit_csv(rows), emit_json(rows, config)
+
+    first = emitted(cfg)
+    # sweeps that fill the caches with other models and probe angles between two runs of A
+    for other in (replace(cfg, noise_profile=profile, sigma_source="ideal"),
+                  replace(cfg, include_idle=False),
+                  replace(cfg, theta_w_strength=0.3)):
+        emitted(other)
+    assert emitted(cfg) == first == cli_sweep_a
 
 
 @pytest.mark.parametrize("probe", (0.05, 0.3, 0.7, 1.0))
