@@ -17,20 +17,21 @@ probabilities or on sampled counts; it is the package's one estimator.
 Squared estimates can go slightly negative under sampling noise; they are
 reported raw alongside estimates clamped at zero before the square root.
 
-Every evolution runs ``compile_steps``' fused (superoperator, targets) steps
-through ``DensityMatrix.evolve``: a gate and the noise that follows it are
-one step.  A sweep evolves the circuit once (``readout_basis``), not once
-per strength (``outcome_distribution``, kept as the per-point reference):
-the readout distribution is affine in (1, cos theta, sin theta) of the
-meter angle.  ``sample_counts`` then draws all of a point's shot batches
-from one seeded stream in one multinomial call.
+Every evolution runs ``compile_steps``' fused (superoperator, targets) steps,
+a gate and the noise after it as one, through ``evolve_stack``.  A sweep
+evolves only the prefix before the meter's rotation (``readout_basis``), not
+the circuit once per strength (``outcome_distribution``, the per-point
+reference): the rest, readout confusion included, is one linear map onto
+the rows [A; B; C] of a distribution affine in (1, cos theta, sin theta).
+``basis_probabilities`` and ``weak_valued_squares`` are elementwise in the
+strength, so no row depends on the others in its sweep.  ``sample_counts``
+draws all of a point's shot batches in one multinomial call.
 
-The steps ``readout_basis`` and ``prefix_state`` evolve are compiled once
-per (theta_w, noise model) and memoised for the last ``_CACHED_CIRCUITS``
-pairs a process used; noise models are themselves memoised per calibration
-(``compile_noise``), so a repeat sweep compiles nothing and only evolves.
-Every compiled step is read-only, so no caller can change what a later one
-evolves.  States and distributions are never cached.
+The prefix steps and the readout map are memoised per (theta_w, noise model)
+for the last ``_CACHED_CIRCUITS`` pairs, and noise models per calibration
+(``compile_noise``), so a repeat sweep compiles nothing and only evolves the
+prefix.  Every compiled step and map is read-only; states and distributions
+are never cached.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 
 from .circuit import METER, Circuit, build_edr_circuit
 from .noise import NoiseModel, apply_readout_confusion
-from .qsim import DensityMatrix, KrausChannel, ry
+from .qsim import DensityMatrix, KrausChannel, evolve_stack, ry
 
 _CACHED_CIRCUITS = 16  # compiled (theta_w, noise) pairs kept; a noisy sweep uses two
 
@@ -105,15 +106,17 @@ def compile_steps(circuit: Circuit, noise: NoiseModel | None = None) -> tuple[tu
     return tuple(steps)
 
 
-def _run(steps: Sequence[tuple], state: DensityMatrix) -> DensityMatrix:
+def _evolved(steps: Sequence[tuple], num_qubits: int) -> DensityMatrix:
+    """|0...0> evolved through ``steps`` as a stack of one matrix, wrapped once at the end."""
+    mats = DensityMatrix.ground(num_qubits).mat[None]
     for superop, targets in steps:
-        state = state.evolve(superop, targets)
-    return state
+        mats = evolve_stack(mats, superop, targets)
+    return DensityMatrix(num_qubits, mats[0], check=False)
 
 
 def run_circuit(circuit: Circuit, noise: NoiseModel | None = None) -> DensityMatrix:
     """|0...0> evolved through the circuit's compiled steps."""
-    return _run(compile_steps(circuit, noise), DensityMatrix.ground(circuit.num_qubits))
+    return _evolved(compile_steps(circuit, noise), circuit.num_qubits)
 
 
 def outcome_distribution(
@@ -139,40 +142,59 @@ def split_at_meter(circuit: Circuit) -> tuple[Circuit, Circuit]:
 
 
 @cache
-def _meter_rotations() -> tuple[np.ndarray, ...]:
-    """The meter's rotation at the three angles ``readout_basis`` evolves, built and checked
-    once, on first use."""
-    return tuple(KrausChannel((ry(angle),)).superop for angle in (0.0, math.pi / 2.0, math.pi))
+def _meter_terms() -> tuple[np.ndarray, ...]:
+    """The superoperators [A, B, C] of the meter's rotation by theta, A + B cos(theta) +
+    C sin(theta), read off its checked rotations at 0, pi/2 and pi once.  Read-only."""
+    plus, mid, minus = (KrausChannel((ry(t),)).superop for t in (0.0, math.pi / 2.0, math.pi))
+    a = (plus + minus) / 2.0
+    terms = (a, (plus - minus) / 2.0, mid - a)
+    for term in terms:
+        term.flags.writeable = False
+    return terms
 
 
 @lru_cache(maxsize=_CACHED_CIRCUITS)
 def _compiled(theta_w: float, noise: NoiseModel | None) -> tuple:
-    """The experiment at probe angle theta_w as ``readout_basis`` evolves it: (register
-    size, prefix steps, tail steps every meter angle shares, each angle's own tail steps,
-    measured qubits).
+    """The register size and the steps of the experiment at probe angle theta_w before
+    the meter's rotation."""
+    prefix, _ = split_at_meter(build_edr_circuit(theta_w, 0.0))
+    return prefix.num_qubits, compile_steps(prefix, noise)
 
-    The tail is compiled at theta = 0, where the meter's rotation is the
-    identity: its fused first step is then the noise after the rotation, and
-    each angle's steps start with its own rotation composed into that step.
-    The steps between it and the next step on the meter act on other qubits,
-    so they commute with the rotation and are shared.
+
+@lru_cache(maxsize=_CACHED_CIRCUITS)
+def _readout_map(theta_w: float, noise: NoiseModel | None) -> np.ndarray:
+    """The read-only (3 * 16, 4**n) map with basis = Re(map @ rho.ravel()), rho the state
+    before the meter, built in the Heisenberg picture.
+
+    Row j of ``read`` is the distribution read, confusion included, when the
+    measured qubits hold outcome j, so outcome k's effect is diagonal with
+    ``read[outcome, k]`` on it.  The effects are pulled back through the tail
+    compiled at theta = 0, whose fused first step is then the noise after the
+    meter's rotation; that step is pulled back last, once per rotation term.
     """
-    prefix, tail = split_at_meter(build_edr_circuit(theta_w, 0.0))
+    _, tail = split_at_meter(build_edr_circuit(theta_w, 0.0))
     (after_meter, meter), *rest = compile_steps(tail, noise)
-    split = next((i for i, (_, targets) in enumerate(rest) if METER in targets), len(rest))
-    angles = []
-    for rotation in _meter_rotations():
-        first = after_meter @ rotation
-        first.flags.writeable = False
-        angles.append(((first, meter), *rest[split:]))
-    return (prefix.num_qubits, compile_steps(prefix, noise), tuple(rest[:split]), tuple(angles),
-            tail.measured_qubits)
+    n, measured = tail.num_qubits, tail.measured_qubits
+    index = np.arange(2**n)
+    outcome = sum(((index >> (n - 1 - q)) & 1) << (len(measured) - 1 - b)
+                  for b, q in enumerate(measured))
+    read = np.eye(2 ** len(measured))
+    if noise is not None:
+        read = apply_readout_confusion(read, noise, measured)
+    effects = np.zeros((len(read), 2**n, 2**n), dtype=complex)
+    effects[:, index, index] = read[outcome].T
+    for superop, targets in reversed(rest):  # a step's transpose pulls an effect back
+        effects = evolve_stack(effects, superop.T, targets)
+    readout = np.concatenate([evolve_stack(effects, (after_meter @ term).T, meter)
+                              for term in _meter_terms()]).reshape(3 * len(read), -1)
+    readout.flags.writeable = False
+    return readout
 
 
 def prefix_state(theta_w: float, noise: NoiseModel | None = None) -> DensityMatrix:
     """The register after both weak probes, before the meter's rotation."""
-    num_qubits, prefix, *_ = _compiled(theta_w, noise)
-    return _run(prefix, DensityMatrix.ground(num_qubits))
+    num_qubits, steps = _compiled(theta_w, noise)
+    return _evolved(steps, num_qubits)
 
 
 def readout_basis(
@@ -183,24 +205,24 @@ def readout_basis(
     At meter angle theta the distribution, readout confusion included, is
     A + B cos(theta) + C sin(theta): no op before the meter's rotation and no
     noise channel depends on theta, and the rest is linear in the meter state.
-    So the prefix is evolved once and the tail three times, at theta = 0,
-    pi/2 and pi, which give A + B, A + C and A - B, through the steps
-    ``_compiled`` memoises; the tail's shared steps are evolved once.
+    So only the prefix is evolved; ``_readout_map`` reads the basis off it in
+    one product.
     """
-    _, _, common, angles, measured = _compiled(theta_w, noise)
     state = prefix_state(theta_w, noise)
-    shared = _run(common, state)
-    probs = np.stack([_run(steps, shared).probabilities(measured) for steps in angles])
-    if noise is not None:  # one confusion pass over the three tail distributions
-        probs = apply_readout_confusion(probs, noise, measured)
-    plus, mid, minus = probs
-    a = (plus + minus) / 2.0
-    return np.stack([a, (plus - minus) / 2.0, mid - a]), state
+    basis = (_readout_map(theta_w, noise) @ state.mat.ravel()).real
+    return basis.reshape(3, -1), state
 
 
-def basis_probabilities(basis: np.ndarray, strength: float) -> np.ndarray:
-    """The 16 readout probabilities at meter strength s = cos(theta) from a ``readout_basis``."""
-    return np.array([1.0, strength, math.sqrt((1.0 - strength) * (1.0 + strength))]) @ basis
+def basis_probabilities(basis: np.ndarray, strength: float | np.ndarray) -> np.ndarray:
+    """The 16 readout probabilities at meter strength s = cos(theta) from a ``readout_basis``;
+    an array of strengths gives one row per strength.
+
+    Elementwise in s, so a strength's row does not depend on the others.
+    """
+    s = np.asarray(strength, dtype=float)[..., None]
+    if not np.all(np.abs(s) <= 1.0):
+        raise ValueError(f"strength {strength} outside [-1, 1]")
+    return basis[0] + s * basis[1] + np.sqrt((1.0 - s) * (1.0 + s)) * basis[2]
 
 
 def sample_counts(
@@ -238,10 +260,12 @@ def weak_valued_squares(
 
     ``weights`` holds 16-outcome probabilities or counts on its last axis,
     ``total`` their sum.  The correlators E = weights @ CORRELATOR_SIGNS /
-    total enter 2 (1 - E / cos(theta_w)); integer counts are summed exactly
-    before the one division.
+    total enter 2 (1 - E / cos(theta_w)).  Each E is summed in outcome order,
+    so its bits depend on its own weights alone, not on the leading shape;
+    integer counts are summed exactly before the one division.
     """
     cw = math.cos(theta_w)
     if cw < 1e-12:  # the 1/cos normalisation is meaningless at zero strength
         raise ValueError(f"probe strength cos(theta_w) = {cw} is too small to invert")
-    return 2.0 * (1.0 - np.asarray(weights) @ CORRELATOR_SIGNS / total / cw)
+    signed = np.asarray(weights)[..., None] * CORRELATOR_SIGNS
+    return 2.0 * (1.0 - np.cumsum(signed, axis=-2)[..., -1, :] / total / cw)

@@ -58,8 +58,9 @@ def ry(angle: float) -> np.ndarray:
 
 @cache
 def _check_targets(targets: tuple[int, ...], num_qubits: int) -> tuple[tuple[int, ...], ...]:
-    """Validate targets; return the (2,)*2n state axes with their rows and columns first,
-    and the inverse order.  Memoised; invalid targets raise on every call."""
+    """Validate targets; return the axes of a stack of (2,)*2n states in the order that puts
+    the targets' rows and columns first and the stack axis after them, and the inverse
+    order.  Memoised; invalid targets raise on every call."""
     if not targets:
         raise ValueError("no target qubits given")
     if len(set(targets)) != len(targets):
@@ -67,9 +68,28 @@ def _check_targets(targets: tuple[int, ...], num_qubits: int) -> tuple[tuple[int
     for q in targets:
         if not 0 <= q < num_qubits:
             raise ValueError(f"target qubit {q} outside register of {num_qubits}")
-    front = targets + tuple(num_qubits + q for q in targets)
-    order = front + tuple(a for a in range(2 * num_qubits) if a not in front)
-    return order, tuple(sorted(range(2 * num_qubits), key=order.__getitem__))
+    front = tuple(1 + q for q in targets) + tuple(1 + num_qubits + q for q in targets)
+    order = front + (0,) + tuple(a for a in range(1, 2 * num_qubits + 1) if a not in front)
+    return order, tuple(sorted(range(2 * num_qubits + 1), key=order.__getitem__))
+
+
+def evolve_stack(mats: np.ndarray, superop: np.ndarray, targets: Sequence[int]) -> np.ndarray:
+    """S(m) for every matrix m of a (count, 2**n, 2**n) stack, S a superoperator on ``targets``.
+
+    S multiplies the target (row, column) axes of each m, moved to the front,
+    in one product over the whole stack; a ``KrausChannel``'s ``superop`` is
+    one such S, and its transpose is the map's adjoint on observables.  The
+    targets and S's shape are checked on every call.
+    """
+    targets = tuple(targets)
+    n = mats.shape[-1].bit_length() - 1
+    order, back = _check_targets(targets, n)
+    k = len(targets)
+    if superop.shape != (4**k, 4**k):
+        raise ValueError(f"superoperator {superop.shape} does not act on {k} target qubit(s)")
+    t = mats.reshape((-1,) + (2,) * (2 * n)).transpose(order)
+    out = (superop @ t.reshape(4**k, -1)).reshape(t.shape).transpose(back)
+    return out.reshape(mats.shape)
 
 
 def _require_hermitian(m: np.ndarray, what: str) -> None:
@@ -142,20 +162,10 @@ class DensityMatrix:
         return cls(num_qubits, mat)
 
     def evolve(self, superop: np.ndarray, targets: Sequence[int]) -> "DensityMatrix":
-        """rho -> S(rho) for a superoperator S on ``targets`` (their order defines the wiring).
-
-        S multiplies the target (row, column) axes of rho, moved to the front;
-        a ``KrausChannel``'s ``superop`` is one such S.  The targets and S's shape
-        are checked on every call; the trace is preserved when S is trace preserving.
-        """
-        targets, n = tuple(targets), self.num_qubits
-        order, back = _check_targets(targets, n)
-        k = len(targets)
-        if superop.shape != (4**k, 4**k):
-            raise ValueError(f"superoperator {superop.shape} does not act on {k} target qubit(s)")
-        t = self.mat.reshape((2,) * (2 * n)).transpose(order)
-        out = (superop @ t.reshape(4**k, -1)).reshape(t.shape).transpose(back)
-        return DensityMatrix(n, out.reshape(2**n, 2**n), check=False)
+        """rho -> S(rho) for a superoperator S on ``targets`` (their order defines the wiring):
+        ``evolve_stack`` on a stack of one.  The trace is preserved when S is trace preserving."""
+        out = evolve_stack(self.mat[None], superop, targets)[0]
+        return DensityMatrix(self.num_qubits, out, check=False)
 
     def partial_trace(self, keep: Sequence[int]) -> "DensityMatrix":
         """Reduced state over ``keep``, ordered as listed."""

@@ -55,7 +55,7 @@ def _check_ideal_estimator() -> str:
     s, worst = np.linspace(0.0, 1.0, 11), 0.0
     for theta_w in map(angle_for_strength, (0.05, 0.3, 0.7, 1.0)):
         basis, _ = readout_basis(theta_w)
-        got = weak_valued_squares(np.array([basis_probabilities(basis, x) for x in s]), theta_w)
+        got = weak_valued_squares(basis_probabilities(basis, s), theta_w)
         want = [2.0 * (1.0 - s * math.sin(theta_w)), 2.0 * s * s / (1.0 + np.sqrt(1.0 - s * s))]
         worst = max(worst, float(np.abs(got - np.transpose(want)).max()))
     assert worst <= 1e-12, f"max |d| {worst:.3g} on the squares"

@@ -150,19 +150,24 @@ def _row_statistics(
     """
     roots = np.sqrt(np.maximum(squares, 0.0))
     means = _sequential_mean(roots)
-    # shot noise on a weak-valued estimate can stray past the physical
-    # interval; classification is only defined inside it, so clamp
-    at_mean, at_repeats = (
-        edr_bounds.classify(edr_bounds.EdrInputs(v[..., 0], v[..., 1], *sigmas, c))
-        for v in (np.clip(means, 0.0, 2.0), np.clip(roots, 0.0, 2.0))
-    )
+
+    def relations(values: np.ndarray) -> edr_bounds.EdrReport:
+        # shot noise on a weak-valued estimate can stray past the physical
+        # interval; classification is only defined inside it, so clamp
+        v = np.clip(values, 0.0, 2.0)
+        return edr_bounds.classify(edr_bounds.EdrInputs(v[..., 0], v[..., 1], *sigmas, c))
+
+    at_mean = relations(means)
+    # one repeat is its own mean, bit for bit: its relations are those at the mean
+    at_repeats = relations(roots).lhs if squares.shape[1] > 1 else {
+        name: lhs[:, None] for name, lhs in at_mean.lhs.items()}
     columns = {}
     for k, name in enumerate(("epsilon", "eta")):
         columns[f"{name}_mean"] = means[:, k]
         columns[f"{name}_rms"] = _rms(roots[..., k], means[:, k])
     for name in edr_bounds.BOUND_NAMES:
         columns[f"{name}_lhs"] = at_mean.lhs[name]
-        columns[f"{name}_rms"] = _rms(at_repeats.lhs[name], at_mean.lhs[name])
+        columns[f"{name}_rms"] = _rms(at_repeats[name], at_mean.lhs[name])
         columns[f"{name}_satisfied"] = at_mean.satisfied[name]
     return {name: values.tolist() for name, values in columns.items()}
 
@@ -183,13 +188,10 @@ def run_sweep(cfg: SweepConfig) -> list[SweepResultRow]:
     c = edr_bounds.effective_bound(theta_w)
     eps_refs = exact_error(probe_state, cfg.strengths).tolist()
     eta_refs = exact_disturbance(probe_state, cfg.strengths).tolist()
-    # per point, not one (points, 3) @ (3, 16) product: a batched product
-    # rounds differently and would move the exact rows' bits
-    probs = [basis_probabilities(basis, s) for s in cfg.strengths]
+    probs = basis_probabilities(basis, cfg.strengths)
     blocks = []
     if cfg.mode in ("exact", "both"):
-        squares = np.stack([weak_valued_squares(p, theta_w) for p in probs])
-        blocks.append(("exact", 0, squares[:, None, :]))
+        blocks.append(("exact", 0, weak_valued_squares(probs, theta_w)[:, None, :]))
     if cfg.mode in ("sampled", "both"):
         counts = np.array([
             sample_counts(p, cfg.shots, [cfg.seed, i], cfg.repeats) for i, p in enumerate(probs)
@@ -209,15 +211,15 @@ def run_sweep(cfg: SweepConfig) -> list[SweepResultRow]:
 _COLUMN_TYPES = tuple(get_type_hints(SweepResultRow).values())
 _BOOL_CELLS = tuple(i for i, kind in enumerate(_COLUMN_TYPES) if kind is bool)
 _STR_CELLS = tuple(i for i, kind in enumerate(_COLUMN_TYPES) if kind is str)
-# one format field per column: 17 significant digits for floats, str() for the rest
-_CELL_SPECS = tuple("{:.17g}" if kind is float else "{}" for kind in _COLUMN_TYPES)
+# one conversion per column: 17 significant digits for floats, str() for the rest
+_CELL_SPECS = tuple("%.17g" if kind is float else "%s" for kind in _COLUMN_TYPES)
 _CSV_ROW = ",".join(_CELL_SPECS)
-_JSON_ROW = "\n    {{" + ", ".join(
+_JSON_ROW = "\n    {" + ", ".join(
     f"{json.dumps(name)}: {spec}" for name, spec in zip(CSV_COLUMNS, _CELL_SPECS)
-) + "}}"
+) + "}"
 
 
-def _cells(row: SweepResultRow, quote: bool) -> list:
+def _cells(row: SweepResultRow, quote: bool) -> tuple:
     """The row's values with booleans spelled ``true``/``false`` and, for JSON, strings quoted."""
     cells = list(row)
     for i in _BOOL_CELLS:
@@ -225,12 +227,12 @@ def _cells(row: SweepResultRow, quote: bool) -> list:
     if quote:
         for i in _STR_CELLS:
             cells[i] = json.dumps(cells[i])
-    return cells
+    return tuple(cells)
 
 
 def emit_csv(rows: Sequence[SweepResultRow]) -> str:
     """Deterministic CSV text: fixed column order, 17-significant-digit floats, LF endings."""
-    lines = (_CSV_ROW.format(*_cells(row, False)) for row in rows)
+    lines = (_CSV_ROW % _cells(row, False) for row in rows)
     return "\n".join([",".join(CSV_COLUMNS), *lines]) + "\n"
 
 
@@ -263,7 +265,7 @@ def emit_json(rows: Sequence[SweepResultRow], config: SweepConfig | None = None)
     """Schema-versioned JSON envelope with the same values as the CSV form."""
     summary = config_summary(config) if config is not None else None
     # each row template starts its own line, so no rows leave "[" and "]" on adjacent lines
-    body = ",".join(_JSON_ROW.format(*_cells(row, True)) for row in rows)
+    body = ",".join(_JSON_ROW % _cells(row, True) for row in rows)
     return (
         '{\n  "schema_version": 1,\n'
         f'  "config": {_jdump(summary)},\n'

@@ -118,6 +118,14 @@ def test_classification_tolerance():
     assert not report.satisfied["heisenberg"]
 
 
+@pytest.mark.parametrize("c", (1.0, 0.5))
+def test_relation_flags_are_pinned_at_their_tolerance(c):
+    # lhs = epsilon * eta for Heisenberg; the flag's tolerance is 1e-9 below c
+    for below, satisfied in ((2e-9, False), (5e-10, True)):
+        report = classify(EdrInputs(c - below, 1.0, 1.0, 1.0, c))
+        assert report.satisfied["heisenberg"] is satisfied, (c, below)
+
+
 def test_classify_report_shape():
     report = classify(unit(MIDPOINT, MIDPOINT))
     assert list(report.lhs) == list(report.satisfied) == list(BOUND_NAMES)

@@ -235,12 +235,14 @@ def test_frozen_point_values():
 def test_memoised_arrays_are_read_only(model_name):
     # every sweep in a process reads these arrays; one in-place write would
     # corrupt all later sweeps, so each must refuse it
-    _, prefix, common, angles, _ = edrsim.estimators._compiled(THETA_W, NOISE_MODELS[model_name])
+    model = NOISE_MODELS[model_name]
+    _, prefix = edrsim.estimators._compiled(THETA_W, model)
     arrays = [_fixed_channel(kind).superop for kind in ("h", "x", "cnot")]
     arrays += [_fixed_channel(kind).operators[0] for kind in ("h", "x", "cnot")]
     arrays += [edrsim.qsim.I2, edrsim.qsim.X, edrsim.qsim.Y, edrsim.qsim.Z]
-    arrays += edrsim.estimators._meter_rotations()
-    arrays += [superop for steps in (prefix, common, *angles) for superop, _ in steps]
+    arrays += edrsim.estimators._meter_terms()
+    arrays += [superop for superop, _ in prefix]
+    arrays.append(edrsim.estimators._readout_map(THETA_W, model))
     arrays.append(KrausChannel((np.eye(2),)).superop)
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -253,6 +255,42 @@ def test_run_circuit_noiseless_is_pure():
     circ = build_edr_circuit(THETA_W, angle_for_strength(0.4))
     state = run_circuit(circ)
     assert abs(helpers.purity(state.mat) - 1.0) < 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    profile=calibration_profiles(),
+    include_idle=st.booleans(),
+    probe=st.floats(0.05, 1.0),
+    strengths=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+)
+def test_readout_map_matches_per_point_evolution(profile, include_idle, probe, strengths):
+    # the compiled tail, read off in one product, against the whole circuit evolved per point
+    model = compile_noise(profile, include_idle=include_idle)
+    theta_w = angle_for_strength(probe)
+    basis, state = readout_basis(theta_w, model)
+    readout = edrsim.estimators._readout_map(theta_w, model)
+    assert readout.shape == (3 * 16, 4**4)
+    assert np.array_equal(basis.ravel(), (readout @ state.mat.ravel()).real)
+    got = basis_probabilities(basis, np.array(strengths))
+    for row, strength in zip(got, strengths):
+        want = outcome_distribution(theta_w, angle_for_strength(strength), model)
+        assert np.abs(row - want).max() <= 1e-12
+
+
+def test_inverse_probe_strength_guard_sits_at_1e_12():
+    probs = outcome_distribution(THETA_W, 0.3)
+    theta_w = math.acos(1e-12)
+    # step theta_w by ulps until cos lands just outside, then just inside, 1e-12
+    outside = inside = theta_w
+    while math.cos(outside) >= 1e-12:
+        outside = math.nextafter(outside, math.pi)
+    while math.cos(inside) < 1e-12:
+        inside = math.nextafter(inside, 0.0)
+    assert 1e-12 - 1e-15 < math.cos(outside) < 1e-12 <= math.cos(inside) < 1e-12 + 1e-15
+    with pytest.raises(ValueError, match="too small to invert"):
+        weak_valued_squares(probs, outside)
+    assert np.all(np.isfinite(weak_valued_squares(probs, inside)))
 
 
 def test_estimate_rejects_zero_probe_strength():

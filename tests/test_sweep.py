@@ -15,6 +15,7 @@ import helpers
 import edrsim.bounds
 import edrsim.estimators
 import edrsim.noise
+import edrsim.qsim
 import edrsim.sweep
 from edrsim.bounds import effective_bound
 from edrsim.circuit import SYSTEM, angle_for_strength
@@ -78,6 +79,45 @@ def test_config_validation():
         small_config(sigma_source="guess")
     with pytest.raises(ValueError):
         small_config(seed=-1)
+
+
+def test_config_rejects_zero_repeats():
+    with pytest.raises(ValueError, match="repeats"):
+        small_config(repeats=0)
+
+
+def test_config_summary_reports_every_field_at_non_default_values():
+    cfg = SweepConfig(theta_w_strength=0.3, strengths=(0.25, 0.75), shots=777, repeats=3,
+                      seed=4242, mode="both", noise_profile=representative_profile(),
+                      noise_path="calibration.yaml", include_idle=False, jobs=2,
+                      sigma_source="simulated")
+    default = SweepConfig()
+    summary = config_summary(cfg)
+    fields = {"noise": "noise_path"}
+    assert set(summary) == {"theta_w_strength", "strengths", "shots", "repeats", "seed", "mode",
+                            "noise", "include_idle", "sigma_source"}
+    for key, value in summary.items():
+        name = fields.get(key, key)
+        assert getattr(cfg, name) != getattr(default, name), name
+        assert value == (list(cfg.strengths) if key == "strengths" else getattr(cfg, name)), key
+    assert json.loads(emit_json([], cfg))["config"] == summary
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_exact_row_does_not_depend_on_the_rest_of_the_grid(data):
+    # a batched (points, 3) @ (3, 16) product can round a row differently at
+    # different point counts; the exact rows are elementwise in the strength
+    grid = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60), label="grid")
+    index = data.draw(st.integers(0, len(grid) - 1), label="index")
+    for profile, include_idle in ((None, True), (representative_profile(), True),
+                                  (representative_profile(), False)):
+        alone, within = (
+            emit_csv(run_sweep(small_config(strengths=strengths, noise_profile=profile,
+                                            include_idle=include_idle))).splitlines()
+            for strengths in ((grid[index],), grid)
+        )
+        assert alone[1] == within[1 + index], (profile, include_idle)
 
 
 def test_exact_rows_carry_reference_curves():
@@ -204,30 +244,35 @@ def test_sigma_source_simulated():
         assert row.sigma_b == standard_deviation(noisy, X)
 
 
+def count_steps(monkeypatch, calls):
+    """Record each call of the one step kernel as a forward step (a stack of one state)
+    or a backward step (a stack of readout effects, pulled back to compile the readout map)."""
+    original = edrsim.qsim.evolve_stack
+
+    def counting(mats, superop, targets):
+        calls.append("forward" if len(mats) == 1 else "backward")
+        return original(mats, superop, targets)
+
+    for module in (edrsim.qsim, edrsim.estimators):
+        monkeypatch.setattr(module, "evolve_stack", counting)
+
+
 def test_evolution_count_does_not_scale_with_grid(monkeypatch):
-    steps = []
-    original = DensityMatrix.evolve
-
-    def counting(self, superop, targets):
-        steps.append(targets)
-        return original(self, superop, targets)
-
-    monkeypatch.setattr(DensityMatrix, "evolve", counting)
-    # Every evolution is a loop of fused steps, one per gate plus one per channel
-    # with no earlier step on its qubits.  Ideal: the 7-gate prefix once and the
-    # 3-gate meter tail at 3 meter angles, 7 + 3 x 3 = 16 steps.  Representative
-    # noise: the prefix's 7 gates, plus one step each for the relaxation of qubits
-    # 1, 2 and 3 before their first gate, 10; the tail's steps for the relaxation
-    # of qubits 0, 1 and 2, which follows the meter's rotation before any tail gate
-    # touches them, once, 3; the tail's 3 gates at 3 meter angles, 9; and the
-    # noiseless 7-gate prefix once more for the exact reference: 10 + 3 + 9 + 7 = 29.
-    for profile, want in ((representative_profile(), 29), (None, 16)):
+    calls = []
+    count_steps(monkeypatch, calls)
+    # A sweep evolves only the prefix before the meter's rotation, one fused step
+    # per gate plus one per channel with no earlier step on its qubits; the meter
+    # tail is read off through the memoised readout map.  Ideal: the 7-gate prefix
+    # once, 7 steps.  Representative noise: the prefix's 7 gates, plus one step each
+    # for the relaxation of qubits 1, 2 and 3 before their first gate, 10; and the
+    # noiseless 7-gate prefix once more for the exact reference: 10 + 7 = 17.
+    for profile, want in ((representative_profile(), 17), (None, 7)):
         counts = []
         for points in (11, 201):
-            steps.clear()
+            calls.clear()
             cfg = small_config(strengths=default_strength_grid(points), noise_profile=profile)
             assert len(run_sweep(cfg)) == points
-            counts.append(len(steps))
+            counts.append(calls.count("forward"))
         assert counts == [want, want]
 
 
@@ -244,23 +289,27 @@ def test_repeat_sweep_compiles_nothing_and_still_evolves(monkeypatch):
 
     monkeypatch.setattr(KrausChannel, "__post_init__",
                         counting("KrausChannel", KrausChannel.__post_init__))
-    monkeypatch.setattr(DensityMatrix, "evolve", counting("evolve", DensityMatrix.evolve))
+    count_steps(monkeypatch, calls)
     for module, name in ((edrsim.estimators, "compile_steps"),
                          (edrsim.noise, "depolarizing_channel"),
                          (edrsim.noise, "thermal_relaxation_channel")):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     assert run_sweep(cfg) == first
-    # the 29 evolutions of test_evolution_count_does_not_scale_with_grid, and nothing built
-    assert calls == ["evolve"] * 29
+    # the 17 forward steps of test_evolution_count_does_not_scale_with_grid, no
+    # backward step, and nothing built
+    assert calls == ["forward"] * 17
 
 
 def test_compiled_circuits_stay_within_their_bound():
-    compiled = edrsim.estimators._compiled
-    bound = compiled.cache_parameters()["maxsize"]
+    caches = (edrsim.estimators._compiled, edrsim.estimators._readout_map)
+    bound = caches[0].cache_parameters()["maxsize"]
     profile = representative_profile()
-    for k in range(bound + 1):  # each noisy sweep compiles two (theta_w, noise) pairs
+    # each noisy sweep compiles two (theta_w, noise) prefixes and one readout map
+    for k in range(bound + 1):
         run_sweep(small_config(theta_w_strength=0.2 + 0.01 * k, noise_profile=profile))
-    assert compiled.cache_info().currsize == bound
+    for cache in caches:
+        assert cache.cache_parameters()["maxsize"] == bound
+        assert cache.cache_info().currsize == bound
 
 
 STALE_A_ARGS = ("--grid", "5", "--shots", "2000", "--repeats", "2", "--seed", "99",
