@@ -163,14 +163,16 @@ def _compiled(theta_w: float, noise: NoiseModel | None) -> tuple:
 
 @lru_cache(maxsize=_CACHED_CIRCUITS)
 def _readout_map(theta_w: float, noise: NoiseModel | None) -> np.ndarray:
-    """The read-only (3 * 16, 4**n) map with basis = Re(map @ rho.ravel()), rho the state
-    before the meter, built in the Heisenberg picture.
+    """The read-only real (3 * 16, 2 * 4**n) map with basis = map @ rho.ravel().view(float),
+    rho the state before the meter, built in the Heisenberg picture.
 
     Row j of ``read`` is the distribution read, confusion included, when the
     measured qubits hold outcome j, so outcome k's effect is diagonal with
     ``read[outcome, k]`` on it.  The effects are pulled back through the tail
     compiled at theta = 0, whose fused first step is then the noise after the
     meter's rotation; that step is pulled back last, once per rotation term.
+    Each pulled-back effect F is stored as (Re F, -Im F) pairs, so that the
+    product with rho's (real, imaginary) pairs is Re(F . rho).
     """
     _, tail = split_at_meter(build_edr_circuit(theta_w, 0.0))
     (after_meter, meter), *rest = compile_steps(tail, noise)
@@ -185,8 +187,9 @@ def _readout_map(theta_w: float, noise: NoiseModel | None) -> np.ndarray:
     effects[:, index, index] = read[outcome].T
     for superop, targets in reversed(rest):  # a step's transpose pulls an effect back
         effects = evolve_stack(effects, superop.T, targets)
-    readout = np.concatenate([evolve_stack(effects, (after_meter @ term).T, meter)
-                              for term in _meter_terms()]).reshape(3 * len(read), -1)
+    pulled = np.concatenate([evolve_stack(effects, (after_meter @ term).T, meter)
+                             for term in _meter_terms()])
+    readout = np.conjugate(pulled, out=pulled).reshape(3 * len(read), -1).view(float)
     readout.flags.writeable = False
     return readout
 
@@ -206,10 +209,10 @@ def readout_basis(
     A + B cos(theta) + C sin(theta): no op before the meter's rotation and no
     noise channel depends on theta, and the rest is linear in the meter state.
     So only the prefix is evolved; ``_readout_map`` reads the basis off it in
-    one product.
+    one real product.
     """
     state = prefix_state(theta_w, noise)
-    basis = (_readout_map(theta_w, noise) @ state.mat.ravel()).real
+    basis = _readout_map(theta_w, noise) @ state.mat.ravel().view(float)
     return basis.reshape(3, -1), state
 
 

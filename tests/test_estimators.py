@@ -270,8 +270,8 @@ def test_readout_map_matches_per_point_evolution(profile, include_idle, probe, s
     theta_w = angle_for_strength(probe)
     basis, state = readout_basis(theta_w, model)
     readout = edrsim.estimators._readout_map(theta_w, model)
-    assert readout.shape == (3 * 16, 4**4)
-    assert np.array_equal(basis.ravel(), (readout @ state.mat.ravel()).real)
+    assert readout.shape == (3 * 16, 2 * 4**4)
+    assert np.array_equal(basis.ravel(), readout @ state.mat.ravel().view(float))
     got = basis_probabilities(basis, np.array(strengths))
     for row, strength in zip(got, strengths):
         want = outcome_distribution(theta_w, angle_for_strength(strength), model)
