@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from functools import cache
 
+import numpy as np
+
 from . import qsim
 
 SYSTEM, PROBE_Z, PROBE_X, METER = 0, 1, 2, 3
@@ -34,10 +36,10 @@ _FIXED_MATRICES = {"h": qsim.H, "x": qsim.X, "cnot": qsim.CNOT}
 
 
 @cache
-def _fixed_channel(kind: str) -> qsim.KrausChannel:
-    """A fixed gate as its channel, built and checked once, on first use; building the
+def _fixed_channel(kind: str) -> np.ndarray:
+    """A fixed gate's superoperator, built and checked once, on first use; building the
     three at import would add to every start-up, also of runs that evolve nothing."""
-    return qsim.KrausChannel((_FIXED_MATRICES[kind],))
+    return qsim.superoperator((_FIXED_MATRICES[kind],))
 
 
 def angle_for_strength(strength: float) -> float:
@@ -70,12 +72,13 @@ class GateOp:
         elif self.angle is not None:
             raise ValueError(f"{self.kind} takes no angle")
 
-    def channel(self) -> qsim.KrausChannel:
-        """The gate as its one-operator channel; its completeness check is the unitarity check."""
+    def superop(self) -> np.ndarray:
+        """The gate's superoperator, as a one-operator channel: its completeness check is
+        the unitarity check."""
         if self.kind == "rx":
-            return qsim.KrausChannel((qsim.rx(self.angle),))
+            return qsim.superoperator((qsim.rx(self.angle),))
         if self.kind == "ry":
-            return qsim.KrausChannel((qsim.ry(self.angle),))
+            return qsim.superoperator((qsim.ry(self.angle),))
         return _fixed_channel(self.kind)
 
 

@@ -27,11 +27,8 @@ the rows [A; B; C] of a distribution affine in (1, cos theta, sin theta).
 strength, so no row depends on the others in its sweep.  ``sample_counts``
 draws all of a point's shot batches in one multinomial call.
 
-The prefix steps and the readout map are memoised per (theta_w, noise model)
-for the last ``_CACHED_CIRCUITS`` pairs, and noise models per calibration
-(``compile_noise``), so a repeat sweep compiles nothing and only evolves the
-prefix.  Every compiled step and map is read-only; states and distributions
-are never cached.
+Compilation is memoised per process and evolution never is; the README's
+"Compilation is memoised per process" paragraph describes the caches.
 """
 
 from __future__ import annotations
@@ -44,34 +41,9 @@ import numpy as np
 
 from .circuit import METER, Circuit, build_edr_circuit
 from .noise import NoiseModel, apply_readout_confusion
-from .qsim import DensityMatrix, KrausChannel, evolve_stack, ry
+from .qsim import DensityMatrix, evolve_stack, ry, superoperator
 
 _CACHED_CIRCUITS = 16  # compiled (theta_w, noise) pairs kept; a noisy sweep uses two
-
-
-@cache
-def _lift_map(targets: tuple[int, ...], onto: tuple[int, ...]) -> np.ndarray:
-    """Where a superoperator on ``targets`` lands in one on ``onto``, a superset, that acts
-    as the identity on the other qubits: each entry of the result is 1 + the flat index of
-    the entry it copies, or 0 where it is zero.  Memoised per (targets, onto)."""
-    rest = tuple(q for q in onto if q not in targets)
-    k, r, m = len(targets), len(rest), len(onto)
-    source = np.arange(1, 16**k + 1).reshape(4**k, 4**k)
-    # each half of kron's axes: target rows, target columns, rest rows, rest columns
-    wide = np.kron(source, np.eye(4**r, dtype=int)).reshape((2,) * (4 * m))
-    rows = [targets.index(q) if q in targets else 2 * k + rest.index(q) for q in onto]
-    cols = [k + targets.index(q) if q in targets else 2 * k + r + rest.index(q) for q in onto]
-    half = rows + cols
-    lifted = wide.transpose(half + [2 * m + a for a in half]).reshape(4**m, 4**m)
-    lifted.flags.writeable = False  # shared by every call with these qubits
-    return lifted
-
-
-def _lift(superop: np.ndarray, targets: tuple[int, ...], onto: tuple[int, ...]) -> np.ndarray:
-    """A superoperator on ``targets`` as one on ``onto``; its entries are copied, bit for bit."""
-    if targets == onto:
-        return superop
-    return np.concatenate(([0.0], superop.ravel()))[_lift_map(targets, onto)]
 
 
 def compile_steps(circuit: Circuit, noise: NoiseModel | None = None) -> tuple[tuple, ...]:
@@ -80,27 +52,34 @@ def compile_steps(circuit: Circuit, noise: NoiseModel | None = None) -> tuple[tu
     Every gate starts a step, as its one-operator channel; gates never merge,
     so a noiseless circuit's steps are its gates' superoperators bit for bit.
     Each noise channel joins the latest step that touches any of its qubits
-    when its targets are among that step's, lifted to the step's qubits, and
-    starts a step of its own otherwise.  No later step touches the qubits of
-    a channel that joins an earlier step, so the move changes only rounding.
-    Every channel was checked when it was built; the fused steps are not
-    checked again.  Every superoperator returned is read-only.
+    when its targets are among that step's, and starts a step of its own
+    otherwise.  It joins through ``evolve_stack``: the step's columns, each a
+    matrix on the step's qubits, are evolved by the channel.  No later step
+    touches the qubits of a channel that joins an earlier step, so the move
+    changes only rounding.  Every channel was checked when it was built; the
+    fused steps are not checked again.  Every superoperator returned is
+    read-only.
     """
     steps: list[tuple] = []
     latest: dict[int, int] = {}  # qubit -> index of the last step that touches it
     for op in circuit.ops:
         latest.update(dict.fromkeys(op.qubits, len(steps)))
-        steps.append((op.channel().superop, op.qubits))
+        steps.append((op.superop(), op.qubits))
         if noise is None:
             continue
         for channel, targets in noise.channels_after(op, circuit.num_qubits):
             last = max((latest[q] for q in targets if q in latest), default=None)
             if last is None or not set(targets) <= set(steps[last][1]):
                 latest.update(dict.fromkeys(targets, len(steps)))
-                steps.append((channel.superop, targets))
+                steps.append((channel, targets))
             else:
                 superop, onto = steps[last]
-                steps[last] = (_lift(channel.superop, targets, onto) @ superop, onto)
+                k = len(onto)
+                columns = evolve_stack(superop.T.reshape(4**k, 2**k, 2**k), channel,
+                                       [onto.index(q) for q in targets])
+                # C order, so a step's layout, and the rounding of its products, does not
+                # depend on how many channels joined it
+                steps[last] = (np.ascontiguousarray(columns.reshape(4**k, 4**k).T), onto)
     for superop, _ in steps:
         superop.flags.writeable = False
     return tuple(steps)
@@ -145,7 +124,7 @@ def split_at_meter(circuit: Circuit) -> tuple[Circuit, Circuit]:
 def _meter_terms() -> tuple[np.ndarray, ...]:
     """The superoperators [A, B, C] of the meter's rotation by theta, A + B cos(theta) +
     C sin(theta), read off its checked rotations at 0, pi/2 and pi once.  Read-only."""
-    plus, mid, minus = (KrausChannel((ry(t),)).superop for t in (0.0, math.pi / 2.0, math.pi))
+    plus, mid, minus = (superoperator((ry(t),)) for t in (0.0, math.pi / 2.0, math.pi))
     a = (plus + minus) / 2.0
     terms = (a, (plus - minus) / 2.0, mid - a)
     for term in terms:

@@ -53,11 +53,8 @@ recorded for completeness but does not enter the compiled channels;
 confusion matrices as calibrated already include decay during readout.
 Unknown keys are rejected.
 
-``compile_noise`` is memoised on (profile, include_idle), for the last
-``_CACHED_MODELS`` pairs a process used: a repeat sweep of one calibration
-reuses its model, whose mappings and arrays are read-only, so no caller can
-change what a later one receives.  Profiles are frozen and compare by
-value, so an equal profile parsed again hits the same entry.
+``compile_noise`` is memoised per process; the README's "Compilation is
+memoised per process" paragraph describes the caches.
 """
 
 from __future__ import annotations
@@ -73,7 +70,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .circuit import GateOp
-from .qsim import I2, X, Y, Z, KrausChannel
+from .qsim import I2, X, Y, Z, superoperator
 
 SCHEMA_VERSION = 1
 _CACHED_MODELS = 8  # compiled models kept per process; each holds a few kB of channels
@@ -229,8 +226,9 @@ _P = np.array([I2, X, Y, Z])
 _PAULIS = {1: _P, 2: (_P[:, None, :, None, :, None] * _P[None, :, None, :, None, :]).reshape(16, 4, 4)}
 
 
-def depolarizing_channel(error: float, num_qubits: int) -> KrausChannel | None:
-    """Depolarizing channel for an average gate error; None when exactly noiseless."""
+def depolarizing_channel(error: float, num_qubits: int) -> np.ndarray | None:
+    """Depolarizing channel's superoperator for an average gate error; None when exactly
+    noiseless."""
     if error < 0.0:
         raise ValueError(f"gate error {error} negative")
     if error == 0.0:
@@ -241,13 +239,14 @@ def depolarizing_channel(error: float, num_qubits: int) -> KrausChannel | None:
     p = min(error * dim / (dim - 1.0), 1.0)
     weights = np.full(dim**2, p / dim**2)
     weights[0] = 1.0 - p + p / dim**2
-    return KrausChannel(tuple(np.sqrt(weights)[:, None, None] * _PAULIS[num_qubits]))
+    return superoperator(np.sqrt(weights)[:, None, None] * _PAULIS[num_qubits])
 
 
 def thermal_relaxation_channel(
     t1_us: float, t2_us: float, duration_ns: float
-) -> KrausChannel | None:
-    """Amplitude damping plus pure dephasing over a gate duration; None if identity.
+) -> np.ndarray | None:
+    """Amplitude damping plus pure dephasing over a gate duration, as a superoperator;
+    None if identity.
 
     The damping parameter is gamma = 1 - exp(-t/T1); the extra dephasing is
     chosen so the combined off-diagonal decay equals exp(-t/T2).
@@ -276,7 +275,7 @@ def thermal_relaxation_channel(
         ],
         dtype=complex,
     )
-    return KrausChannel(tuple(ops))
+    return superoperator(ops)
 
 
 def confusion_matrix(qubit: QubitCalibration) -> np.ndarray:
@@ -295,20 +294,20 @@ class NoiseModel:
 
     profile: CalibrationProfile
     include_idle: bool
-    gate_depolarizing: Mapping[str, KrausChannel | None]
-    relaxation: Mapping[tuple[int, str], KrausChannel | None]
+    gate_depolarizing: Mapping[str, np.ndarray | None]
+    relaxation: Mapping[tuple[int, str], np.ndarray | None]
     confusion: tuple[np.ndarray, ...]
 
     def channels_after(
         self, op: GateOp, num_qubits: int
-    ) -> list[tuple[KrausChannel, tuple[int, ...]]]:
-        """Noise channels to apply after ``op``, as (channel, targets) pairs."""
+    ) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+        """Noise channels to apply after ``op``, as (superoperator, targets) pairs."""
         if num_qubits > self.profile.num_qubits:
             raise ValueError(
                 f"profile covers {self.profile.num_qubits} qubit(s), circuit has {num_qubits}"
             )
         gate_class = "cnot" if op.kind == "cnot" else "single"
-        out: list[tuple[KrausChannel, tuple[int, ...]]] = []
+        out: list[tuple[np.ndarray, tuple[int, ...]]] = []
         depol = self.gate_depolarizing[gate_class]
         if depol is not None:
             out.append((depol, op.qubits))

@@ -8,23 +8,20 @@ across threads and processes.
 
 Numerical contracts, assuming double precision and registers of at most
 about ten qubits: equality-type checks use an absolute tolerance of
-``ATOL`` (1e-12), and positive semidefiniteness admits eigenvalues down
-to ``PSD_FLOOR`` (-1e-10).  Hermiticity and unit trace are enforced on
+``ATOL`` (1e-12).  Hermiticity and unit trace are enforced on
 construction, but not on an evolution's output (``check=False``), which
-a trace-preserving map keeps valid.  The eigenvalue check is only run by
-:meth:`DensityMatrix.validate`: it costs a full diagonalisation.
+a trace-preserving map keeps valid.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 from functools import cache
 from typing import Sequence
 
 import numpy as np
 
 ATOL = 1e-12
-PSD_FLOOR = -1e-10
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -77,8 +74,8 @@ def evolve_stack(mats: np.ndarray, superop: np.ndarray, targets: Sequence[int]) 
     """S(m) for every matrix m of a (count, 2**n, 2**n) stack, S a superoperator on ``targets``.
 
     S multiplies the target (row, column) axes of each m, moved to the front,
-    in one product over the whole stack; a ``KrausChannel``'s ``superop`` is
-    one such S, and its transpose is the map's adjoint on observables.  The
+    in one product over the whole stack; ``superoperator`` builds one such S,
+    and its transpose is the map's adjoint on observables.  The
     targets and S's shape are checked on every call.
     """
     targets = tuple(targets)
@@ -98,37 +95,29 @@ def _require_hermitian(m: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} is not Hermitian (deviation {dev:.3e})")
 
 
-@dataclass(frozen=True)
-class KrausChannel:
-    """A completely positive trace-preserving map given by Kraus operators.
+def superoperator(kraus: Sequence[np.ndarray]) -> np.ndarray:
+    """The read-only superoperator sum K x conj(K) of a channel's Kraus operators.
 
-    Completeness (sum of K^dagger K equal to the identity within ``ATOL``)
-    is checked, and the superoperator sum K x conj(K) built, on construction;
-    the superoperator is read-only.
+    The operators must be square, equally sized and complete: the sum of
+    K^dagger K equals the identity within ``ATOL``.
     """
-
-    operators: tuple[np.ndarray, ...]
-    superop: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not self.operators:
-            raise ValueError("channel needs at least one Kraus operator")
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.operators)
-        object.__setattr__(self, "operators", ops)
-        dim = ops[0].shape[0]
-        for k in ops:
-            if k.shape != (dim, dim):
-                raise ValueError("Kraus operators must be square and equally sized")
-        stack = np.array(ops)
-        total = np.einsum("kia,kib->ab", stack.conj(), stack)  # sum K^dagger K
-        total.flat[:: dim + 1] -= 1.0
-        dev = np.abs(total).max()
-        if dev > ATOL:
-            raise ValueError(f"Kraus operators are not complete (deviation {dev:.3e})")
-        superop = np.einsum("kia,kjb->ijab", stack, stack.conj())  # S[(i, j), (a, b)]
-        superop = superop.reshape(dim * dim, dim * dim)
-        superop.flags.writeable = False  # memoised channels and compiled steps share it
-        object.__setattr__(self, "superop", superop)
+    if len(kraus) == 0:
+        raise ValueError("channel needs at least one Kraus operator")
+    ops = [np.asarray(k, dtype=complex) for k in kraus]
+    dim = ops[0].shape[0]
+    for k in ops:
+        if k.shape != (dim, dim):
+            raise ValueError("Kraus operators must be square and equally sized")
+    stack = np.array(ops)
+    total = np.einsum("kia,kib->ab", stack.conj(), stack)  # sum K^dagger K
+    total.flat[:: dim + 1] -= 1.0
+    dev = np.abs(total).max()
+    if dev > ATOL:
+        raise ValueError(f"Kraus operators are not complete (deviation {dev:.3e})")
+    superop = np.einsum("kia,kjb->ijab", stack, stack.conj())  # S[(i, j), (a, b)]
+    superop = superop.reshape(dim * dim, dim * dim)
+    superop.flags.writeable = False  # memoised channels and compiled steps share it
+    return superop
 
 
 @dataclass(frozen=True)
@@ -210,11 +199,3 @@ class DensityMatrix:
         for q in targets:
             out_index = (out_index << 1) | ((idx >> (n - 1 - q)) & 1)
         return np.bincount(out_index, weights=diag, minlength=2 ** len(targets))
-
-    def validate(self) -> "DensityMatrix":
-        """Full state check including positive semidefiniteness; returns self."""
-        DensityMatrix(self.num_qubits, self.mat)  # Hermiticity and unit trace
-        lowest = float(np.linalg.eigvalsh((self.mat + self.mat.conj().T) / 2.0)[0])
-        if lowest < PSD_FLOOR:
-            raise ValueError(f"density matrix has eigenvalue {lowest:.3e} below {PSD_FLOOR}")
-        return self

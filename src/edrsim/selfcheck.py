@@ -24,7 +24,7 @@ from .estimators import (
 )
 from .measurement import commutator_bound, exact_disturbance, exact_error, reference_input_state
 from .noise import compile_noise, confusion_matrix, representative_profile
-from .qsim import ATOL, CNOT, DensityMatrix, KrausChannel, X, Z, ry
+from .qsim import ATOL, CNOT, DensityMatrix, X, Z, ry, superoperator
 
 
 def _random_state(rng: np.random.Generator) -> DensityMatrix:
@@ -76,7 +76,7 @@ def _check_sweep_basis() -> str:
 
 def _check_meter_statistics() -> str:
     rng = np.random.default_rng(7)
-    cnot = KrausChannel((CNOT,)).superop
+    cnot = superoperator((CNOT,))
     worst = 0.0
     for s in (0.0, 0.3, 1.0):
         meter = ry(angle_for_strength(s))[:, :1]

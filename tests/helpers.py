@@ -2,7 +2,9 @@
 
 Everything here is literal numpy on explicit matrices, written without
 the package's own linear-algebra helpers, so agreement between the two
-paths is evidence rather than tautology.  The sweep-output oracles format
+paths is evidence rather than tautology.  The noisy oracles build every
+gate from its kind and angle and every channel from a calibration
+profile's fields alone, never from the package's noise model.  The sweep-output oracles format
 each cell by dispatching on its value's type, one cell at a time, where the
 package writes a whole row through one precompiled template.
 """
@@ -27,6 +29,8 @@ CX = np.array(
     ],
     dtype=complex,
 )
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
+PSD_FLOOR = -1e-10  # the lowest eigenvalue ``validate_state`` admits
 
 
 def ry_mat(angle: float) -> np.ndarray:
@@ -93,30 +97,98 @@ def oracle_apply_kraus(
     return out
 
 
-def oracle_noisy_state(circuit, noise) -> np.ndarray:
-    """|0...0> evolved through ``circuit`` under ``noise`` by literal 2**n x 2**n algebra.
+def validate_state(rho: np.ndarray) -> np.ndarray:
+    """``rho`` itself, once it is Hermitian and of unit trace within 1e-12 and has no
+    eigenvalue below ``PSD_FLOOR``; raises ValueError otherwise."""
+    rho = np.asarray(rho)
+    if np.abs(rho - rho.conj().T).max() > 1e-12:
+        raise ValueError("state is not Hermitian")
+    if abs(np.trace(rho) - 1.0) > 1e-12:
+        raise ValueError(f"state trace {np.trace(rho)} is not 1")
+    lowest = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0])
+    if lowest < PSD_FLOOR:
+        raise ValueError(f"state has eigenvalue {lowest:.3e} below {PSD_FLOOR}")
+    return rho
 
-    Each gate is applied and then, in order, the channels ``noise.channels_after``
-    lists for it; every application goes through ``oracle_apply_kraus``.
-    """
+
+def oracle_gate_unitary(op) -> np.ndarray:
+    """A ``GateOp``'s unitary from its kind and angle, by the literal matrices above."""
+    if op.kind == "rx":
+        return rx_mat(op.angle)
+    if op.kind == "ry":
+        return ry_mat(op.angle)
+    return {"h": HADAMARD, "x": SX, "cnot": CX}[op.kind]
+
+
+def oracle_depolarizing_kraus(error: float, num_qubits: int) -> list[np.ndarray]:
+    """Depolarizing with p = min(e d / (d - 1), 1) over the literal Pauli products, first
+    qubit most significant: weight 1 - p + p / d^2 on the identity, p / d^2 on the rest."""
+    d = 2**num_qubits
+    p = min(error * d / (d - 1.0), 1.0)
+    products = [ID2, SX, SY, SZ]
+    if num_qubits == 2:
+        products = [np.kron(a, b) for a in products for b in products]
+    weights = [1.0 - p + p / d**2] + [p / d**2] * (d**2 - 1)
+    return [math.sqrt(w) * m for w, m in zip(weights, products)]
+
+
+def oracle_relaxation_kraus(t1_us: float, t2_us: float, duration_ns: float) -> list[np.ndarray]:
+    """Amplitude damping with gamma = 1 - exp(-t/T1), then dephasing to the coherence
+    exp(-t/T2) / sqrt(1 - gamma) that the damping leaves to reach, as the products."""
+    t_us = duration_ns / 1000.0
+    gamma = 1.0 - math.exp(-t_us / t1_us)
+    coherence = min(math.exp(-t_us / t2_us) / math.sqrt(1.0 - gamma), 1.0)  # rounds past 1 at T2 = 2 T1
+    damping = [
+        np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]], dtype=complex),
+        np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex),
+    ]
+    dephasing = [math.sqrt((1.0 + coherence) / 2.0) * ID2, math.sqrt((1.0 - coherence) / 2.0) * SZ]
+    return [d @ a for d in dephasing for a in damping]
+
+
+def oracle_noise_after(op, profile, include_idle: bool, num_qubits: int) -> list:
+    """(Kraus operators, targets) after ``op``, from the profile's fields alone: the gate
+    class's depolarizing on its qubits, then relaxation over the gate class's own duration
+    on every qubit in order, or only on the gate's qubits without idle relaxation."""
+    cnot = op.kind == "cnot"
+    error = profile.cnot_error if cnot else profile.single_qubit_gate_error
+    duration = profile.cnot_duration_ns if cnot else profile.single_qubit_gate_duration_ns
+    out = [(oracle_depolarizing_kraus(error, len(op.qubits)), op.qubits)]
+    for q in range(num_qubits) if include_idle else op.qubits:
+        qubit = profile.qubits[q]
+        out.append((oracle_relaxation_kraus(qubit.t1_us, qubit.t2_us, duration), (q,)))
+    return out
+
+
+def oracle_kraus_state(circuit, kraus_after) -> np.ndarray:
+    """|0...0> evolved through ``circuit`` by literal 2**n x 2**n algebra: each gate's
+    ``oracle_gate_unitary``, then the (Kraus operators, targets) pairs ``kraus_after(op)``
+    lists, in order, each through ``oracle_apply_kraus``."""
     n = circuit.num_qubits
     rho = np.zeros((2**n, 2**n), dtype=complex)
     rho[0, 0] = 1.0
     for op in circuit.ops:
-        rho = oracle_apply_kraus(rho, list(op.channel().operators), list(op.qubits), n)
-        for channel, targets in noise.channels_after(op, n):
-            rho = oracle_apply_kraus(rho, list(channel.operators), list(targets), n)
+        rho = oracle_apply_kraus(rho, [oracle_gate_unitary(op)], list(op.qubits), n)
+        for kraus, targets in kraus_after(op):
+            rho = oracle_apply_kraus(rho, kraus, list(targets), n)
     return rho
 
 
-def oracle_noisy_outcome_distribution(circuit, noise) -> np.ndarray:
-    """Readout probabilities of ``circuit`` under ``noise`` from ``oracle_noisy_state``.
+def oracle_noisy_state(circuit, profile, include_idle: bool) -> np.ndarray:
+    """``oracle_kraus_state`` under the channels ``oracle_noise_after`` builds from ``profile``."""
+    n = circuit.num_qubits
+    return oracle_kraus_state(circuit, lambda op: oracle_noise_after(op, profile, include_idle, n))
+
+
+def oracle_noisy_outcome_distribution(circuit, profile, include_idle: bool) -> np.ndarray:
+    """Readout probabilities of ``circuit`` under ``profile`` from ``oracle_noisy_state``.
 
     Readout confusion is the kron of the measured qubits' confusion matrices
+    [[1 - e01, e10], [e01, 1 - e10]], built from the profile's readout errors,
     acting on the measured-bit distribution.
     """
     n = circuit.num_qubits
-    rho = oracle_noisy_state(circuit, noise)
+    rho = oracle_noisy_state(circuit, profile, include_idle)
     measured = list(circuit.measured_qubits)
     probs = np.zeros(2 ** len(measured))
     for index in range(2**n):
@@ -126,7 +198,8 @@ def oracle_noisy_outcome_distribution(circuit, noise) -> np.ndarray:
         probs[packed] += rho[index, index].real
     confusion = np.ones((1, 1))
     for q in measured:
-        confusion = np.kron(confusion, noise.confusion[q])
+        e01, e10 = profile.qubits[q].readout_error_01, profile.qubits[q].readout_error_10
+        confusion = np.kron(confusion, np.array([[1.0 - e01, e10], [e01, 1.0 - e10]]))
     return confusion @ probs
 
 
@@ -182,20 +255,19 @@ def oracle_outcome_distribution(theta_w: float, theta: float) -> np.ndarray:
         b[target] = SX
         return chain(a) + chain(b)
 
-    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
     ket = np.zeros(16, dtype=complex)
     ket[0] = 1.0
     for mat in (
         on1(rx_mat(math.pi / 2.0), 0),
         on1(ry_mat(theta_w), 1),
         cnot_on(0, 1),
-        on1(hadamard, 0),
+        on1(HADAMARD, 0),
         on1(ry_mat(theta_w), 2),
         cnot_on(0, 2),
-        on1(hadamard, 0),
+        on1(HADAMARD, 0),
         on1(ry_mat(theta), 3),
         cnot_on(0, 3),
-        on1(hadamard, 0),
+        on1(HADAMARD, 0),
     ):
         ket = mat @ ket
     amp2 = np.abs(ket) ** 2

@@ -39,6 +39,13 @@ def test_inputs_validation():
         EdrInputs(np.array([0.1, 0.2]), np.array([0.5, -0.5]), 1.0, 1.0, 1.0)
 
 
+def test_sigma_product_guard_sits_at_1e_12_below_c():
+    # twice the tolerance below c raises; half of it below passes
+    with pytest.raises(ValueError, match="below c"):
+        EdrInputs(0.5, 0.5, 1.0, 1.0 - 2e-12, 1.0)
+    EdrInputs(0.5, 0.5, 1.0, 1.0 - 5e-13, 1.0)
+
+
 def test_heisenberg_point_values():
     assert abs(heisenberg_lhs(unit(math.sqrt(2.0), math.sqrt(2.0))) - 2.0) < 1e-15
     assert heisenberg_lhs(unit(0.0, 1.3)) == 0.0

@@ -21,7 +21,7 @@ from edrsim.estimators import (
     weak_valued_squares,
 )
 from edrsim.noise import CalibrationProfile, QubitCalibration, compile_noise, representative_profile
-from edrsim.qsim import CNOT, DensityMatrix, KrausChannel
+from edrsim.qsim import CNOT, DensityMatrix, superoperator
 
 THETA_W = angle_for_strength(0.05)
 
@@ -30,6 +30,7 @@ NOISE_MODELS = {
     "representative": compile_noise(representative_profile()),
     "no_idle": compile_noise(representative_profile(), include_idle=False),
 }
+INCLUDE_IDLE = {"representative": True, "no_idle": False}  # the oracle's reading of each model
 PROBE_STRENGTHS = (0.05, 0.7)
 
 
@@ -69,7 +70,9 @@ def test_readout_basis_matches_per_point_evolution(bases, model_name, probe, str
 def test_readout_basis_matches_literal_noisy_oracle(bases, model_name, probe, strength):
     # outcome_distribution shares compile_steps with readout_basis; this oracle shares nothing
     circuit = build_edr_circuit(angle_for_strength(probe), angle_for_strength(strength))
-    want = helpers.oracle_noisy_outcome_distribution(circuit, NOISE_MODELS[model_name])
+    want = helpers.oracle_noisy_outcome_distribution(
+        circuit, representative_profile(), INCLUDE_IDLE[model_name]
+    )
     got = basis_probabilities(bases[model_name, probe], strength)
     assert np.abs(got - want).max() <= 1e-12
 
@@ -99,9 +102,9 @@ def unfused_run(circuit, model):
     """The circuit evolved one gate and one channel at a time, in ``channels_after`` order."""
     state = DensityMatrix.ground(circuit.num_qubits)
     for op in circuit.ops:
-        state = state.evolve(op.channel().superop, op.qubits)
+        state = state.evolve(op.superop(), op.qubits)
         for channel, targets in model.channels_after(op, circuit.num_qubits):
-            state = state.evolve(channel.superop, targets)
+            state = state.evolve(channel, targets)
     return state
 
 
@@ -118,8 +121,9 @@ def test_fused_steps_match_unfused_loop_and_literal_oracle(profile, include_idle
     circuit = build_edr_circuit(theta_w, theta)
     fused = run_circuit(circuit, model)
     assert np.abs(fused.mat - unfused_run(circuit, model).mat).max() <= 1e-12
-    assert np.abs(fused.mat - helpers.oracle_noisy_state(circuit, model)).max() <= 1e-12
-    want = helpers.oracle_noisy_outcome_distribution(circuit, model)
+    want = helpers.oracle_noisy_state(circuit, profile, include_idle)
+    assert np.abs(fused.mat - want).max() <= 1e-12
+    want = helpers.oracle_noisy_outcome_distribution(circuit, profile, include_idle)
     assert np.abs(outcome_distribution(theta_w, theta, model) - want).max() <= 1e-12
     basis, _ = readout_basis(theta_w, model)
     assert np.abs(basis_probabilities(basis, strength) - want).max() <= 1e-12
@@ -140,7 +144,7 @@ def test_fusion_keeps_noise_between_gates_on_the_same_qubit():
     circuit = Circuit(3, ops)
     for include_idle, fused_steps in ((True, 8), (False, 6)):
         model = compile_noise(profile, include_idle=include_idle)
-        want = helpers.oracle_noisy_state(circuit, model)
+        want = helpers.oracle_noisy_state(circuit, profile, include_idle)
         assert np.abs(run_circuit(circuit, model).mat - want).max() <= 1e-12
         # one step per gate, plus one each for the idle relaxation of qubits 1 and 2
         assert len(compile_steps(circuit, model)) == fused_steps
@@ -148,8 +152,8 @@ def test_fusion_keeps_noise_between_gates_on_the_same_qubit():
     assert len(compile_steps(circuit)) == len(ops)
     # the relaxation after the first h does not commute with the rx that follows it,
     # so applying it after the rx instead would be visibly wrong
-    relax = list(model.relaxation[0, "single"].operators)
-    h, rx = (list(op.channel().operators) for op in ops[:2])
+    relax = helpers.oracle_relaxation_kraus(1.0, 1.5, 400.0)
+    h, rx = ([helpers.oracle_gate_unitary(op)] for op in ops[:2])
 
     def apply(rho, kraus):
         return helpers.oracle_apply_kraus(rho, kraus, [0], 1)
@@ -161,7 +165,8 @@ def test_fusion_keeps_noise_between_gates_on_the_same_qubit():
 def test_fusion_starts_a_step_for_a_channel_wider_than_the_latest_step():
     class WideNoise:  # an asymmetric, complex two-qubit channel on (1, 0) after every gate
         phased = CNOT @ np.diag([1.0, 1.0j, 1.0, 1.0j])
-        channel = KrausChannel((math.sqrt(0.7) * np.eye(4), math.sqrt(0.3) * phased))
+        kraus = [math.sqrt(0.7) * np.eye(4), math.sqrt(0.3) * phased]
+        channel = superoperator(kraus)
 
         def channels_after(self, op, num_qubits):
             return [(self.channel, (1, 0))]
@@ -172,7 +177,7 @@ def test_fusion_starts_a_step_for_a_channel_wider_than_the_latest_step():
     # only the cnot's step covers both qubits; its channel joins it with the targets swapped
     steps = compile_steps(circuit, WideNoise())
     assert [targets for _, targets in steps] == [(0,), (1, 0), (1,), (1, 0), (0, 1), (0,), (1, 0)]
-    want = helpers.oracle_noisy_state(circuit, WideNoise())
+    want = helpers.oracle_kraus_state(circuit, lambda op: [(WideNoise.kraus, (1, 0))])
     assert np.abs(run_circuit(circuit, WideNoise()).mat - want).max() <= 1e-12
 
 
@@ -193,10 +198,13 @@ def test_noisy_outcome_distribution_matches_literal_oracle(model_name, strength)
     theta = angle_for_strength(strength)
     circuit = build_edr_circuit(THETA_W, theta)
     got = outcome_distribution(THETA_W, theta, model)
-    want = helpers.oracle_noisy_outcome_distribution(circuit, model)
+    want = helpers.oracle_noisy_outcome_distribution(
+        circuit, representative_profile(), INCLUDE_IDLE[model_name]
+    )
     assert np.abs(got - want).max() <= 1e-12
     # evolution skips the construction checks; the final state must still pass them all
-    state = run_circuit(circuit, model).validate()
+    state = run_circuit(circuit, model)
+    helpers.validate_state(state.mat)
     assert np.abs(state.mat - state.mat.conj().T).max() <= 1e-12
     assert abs(np.trace(state.mat) - 1.0) <= 1e-12
 
@@ -237,13 +245,13 @@ def test_memoised_arrays_are_read_only(model_name):
     # corrupt all later sweeps, so each must refuse it
     model = NOISE_MODELS[model_name]
     _, prefix = edrsim.estimators._compiled(THETA_W, model)
-    arrays = [_fixed_channel(kind).superop for kind in ("h", "x", "cnot")]
-    arrays += [_fixed_channel(kind).operators[0] for kind in ("h", "x", "cnot")]
-    arrays += [edrsim.qsim.I2, edrsim.qsim.X, edrsim.qsim.Y, edrsim.qsim.Z]
+    arrays = [_fixed_channel(kind) for kind in ("h", "x", "cnot")]
+    arrays += [edrsim.qsim.I2, edrsim.qsim.X, edrsim.qsim.Y, edrsim.qsim.Z, edrsim.qsim.H,
+               edrsim.qsim.CNOT]
     arrays += edrsim.estimators._meter_terms()
     arrays += [superop for superop, _ in prefix]
     arrays.append(edrsim.estimators._readout_map(THETA_W, model))
-    arrays.append(KrausChannel((np.eye(2),)).superop)
+    arrays.append(superoperator((np.eye(2),)))
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 0.0
@@ -380,6 +388,17 @@ def test_sample_counts_validation():
     bad[1] += 0.2
     with pytest.raises(ValueError):
         sample_counts(bad, 100, 1, 1)
+
+
+def test_negative_probability_guard_sits_at_1e_12():
+    # twice the tolerance below zero raises; half of it is clipped to zero and never drawn
+    probs = np.full(16, 1.0 / 15.0)
+    probs[0] = -2e-12
+    with pytest.raises(ValueError, match="negative probability"):
+        sample_counts(probs, 100, 1, 1)
+    probs[0] = -5e-13
+    counts = sample_counts(probs, 100, 1, 1)
+    assert counts[0, 0] == 0 and counts.sum() == 100
 
 
 def test_sampled_squares_converge():

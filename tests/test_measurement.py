@@ -15,7 +15,7 @@ from edrsim.measurement import (
     reference_input_state,
     standard_deviation,
 )
-from edrsim.qsim import CNOT, DensityMatrix, KrausChannel, X, Y, Z, ry
+from edrsim.qsim import ATOL, CNOT, DensityMatrix, X, Y, Z, ry, superoperator
 
 
 def test_reference_state_is_minus_y_eigenstate():
@@ -45,6 +45,17 @@ def test_standard_deviations_on_reference_state():
     assert standard_deviation(state, Y) < 1e-7
 
 
+def test_negative_variance_guard_sits_at_atol():
+    # Z on the Hermitian, unit-trace, non-PSD diag(1 + d, -d) has variance -4 d (1 + d):
+    # twice ATOL below zero raises, half of it reads as zero spread
+    for delta, variance in ((ATOL / 2.0, -2.0 * ATOL), (ATOL / 8.0, -ATOL / 2.0)):
+        state = DensityMatrix(1, np.diag([1.0 + delta, -delta]))
+        assert abs(state.expectation(Z @ Z) - state.expectation(Z) ** 2 - variance) < 1e-15
+    with pytest.raises(ValueError, match="negative squared quantity"):
+        standard_deviation(DensityMatrix(1, np.diag([1.0 + ATOL / 2.0, -ATOL / 2.0])), Z)
+    assert standard_deviation(DensityMatrix(1, np.diag([1.0 + ATOL / 8.0, -ATOL / 8.0])), Z) == 0.0
+
+
 def test_meter_statistics_reproduce_povm():
     # the simulated meter against literal ry/CX algebra and the induced POVM (I +/- s Z)/2
     rng = np.random.default_rng(5)
@@ -54,7 +65,7 @@ def test_meter_statistics_reproduce_povm():
         for _ in range(4):
             rho = helpers.rand_density(rng)
             joint = DensityMatrix(2, np.kron(rho, meter @ meter.conj().T))
-            probs = joint.evolve(KrausChannel((CNOT,)).superop, (0, 1)).probabilities([1])
+            probs = joint.evolve(superoperator((CNOT,)), (0, 1)).probabilities([1])
             joint_literal = np.kron(rho, np.outer(literal, literal.conj()))
             after = helpers.CX @ joint_literal @ helpers.CX.conj().T
             assert np.abs(probs - np.diag(after).real.reshape(2, 2).sum(axis=0)).max() < 1e-12

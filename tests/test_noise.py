@@ -23,7 +23,7 @@ from edrsim.noise import (
     representative_profile,
     thermal_relaxation_channel,
 )
-from edrsim.qsim import DensityMatrix, I2, X, Z
+from edrsim.qsim import DensityMatrix, I2, X, Z, superoperator
 
 MINIMAL_YAML = """\
 schema_version: 1
@@ -254,36 +254,34 @@ def test_representative_profile_shape():
 def test_depolarizing_channel_structure():
     assert depolarizing_channel(0.0, 1) is None
     one = depolarizing_channel(0.01, 1)
-    assert len(one.operators) == 4
+    assert one.shape == (4, 4)
     two = depolarizing_channel(0.01, 2)
-    assert len(two.operators) == 16
+    assert two.shape == (16, 16)
     # sqrt(weight) times the Pauli products, identity first, first qubit most significant
-    paulis = [helpers.ID2, helpers.SX, helpers.SY, helpers.SZ]
-    p = 0.01 * 4.0 / 3.0
-    for k, (a, b) in enumerate((a, b) for a in paulis for b in paulis):
-        weight = 1.0 - p + p / 16.0 if k == 0 else p / 16.0
-        assert np.array_equal(two.operators[k], math.sqrt(weight) * np.kron(a, b))
+    for error, num_qubits in ((0.01, 1), (0.01, 2), (0.9, 1), (0.9, 2)):
+        want = superoperator(helpers.oracle_depolarizing_kraus(error, num_qubits))
+        assert np.array_equal(depolarizing_channel(error, num_qubits), want)
     with pytest.raises(ValueError):
         depolarizing_channel(-0.1, 1)
     with pytest.raises(ValueError):
         depolarizing_channel(0.01, 3)
     # the mixing probability saturates at 1: error 0.9 and 0.5 coincide for one qubit
-    saturated = DensityMatrix.ground(1).evolve(depolarizing_channel(0.9, 1).superop, [0])
+    saturated = DensityMatrix.ground(1).evolve(depolarizing_channel(0.9, 1), [0])
     assert np.abs(saturated.mat - I2 / 2.0).max() < 1e-12
 
 
 def test_depolarizing_channel_action():
     # full-strength single-qubit depolarizing sends everything to I/2
     full = depolarizing_channel(0.75, 1)
-    state = DensityMatrix.ground(1).evolve(full.superop, [0])
+    state = DensityMatrix.ground(1).evolve(full, [0])
     assert np.abs(state.mat - I2 / 2.0).max() < 1e-12
     # maximally mixed state is a fixed point at any error rate
     mixed = DensityMatrix(1, I2 / 2.0)
-    out = mixed.evolve(depolarizing_channel(0.3, 1).superop, [0])
+    out = mixed.evolve(depolarizing_channel(0.3, 1), [0])
     assert np.abs(out.mat - I2 / 2.0).max() < 1e-12
     # contraction factor on traceless components is 1 - error*d/(d-1)
     plus = DensityMatrix(1, helpers.pure_density(np.array([1.0, 1.0]) / math.sqrt(2.0)))
-    shrunk = plus.evolve(depolarizing_channel(0.03, 1).superop, [0])
+    shrunk = plus.evolve(depolarizing_channel(0.03, 1), [0])
     assert abs(shrunk.expectation(X) - (1.0 - 0.03 * 2.0)) < 1e-12
 
 
@@ -292,19 +290,26 @@ def test_thermal_relaxation_limits():
     assert thermal_relaxation_channel(50.0, 50.0, 0.0) is None
     channel = thermal_relaxation_channel(50.0, 70.0, 1000.0)
     excited = DensityMatrix(1, helpers.pure_density([0.0, 1.0]))
-    decayed = excited.evolve(channel.superop, [0])
+    decayed = excited.evolve(channel, [0])
     want_pop = math.exp(-1.0 / 50.0)  # 1000 ns against T1 = 50 us
     assert abs((1.0 - decayed.expectation(Z)) / 2.0 - want_pop) < 1e-12
     # ground state is a fixed point
-    ground = DensityMatrix.ground(1).evolve(channel.superop, [0])
+    ground = DensityMatrix.ground(1).evolve(channel, [0])
     assert np.abs(ground.mat - DensityMatrix.ground(1).mat).max() < 1e-12
+
+
+def test_relaxation_duration_guard_sits_at_zero():
+    # the least negative double raises; zero is the identity
+    with pytest.raises(ValueError, match="negative"):
+        thermal_relaxation_channel(50.0, 60.0, -5e-324)
+    assert thermal_relaxation_channel(50.0, 60.0, 0.0) is None
 
 
 def test_thermal_relaxation_coherence_decay():
     t1, t2, dt = 80.0, 60.0, 500.0
     channel = thermal_relaxation_channel(t1, t2, dt)
     plus = DensityMatrix(1, helpers.pure_density(np.array([1.0, 1.0]) / math.sqrt(2.0)))
-    out = plus.evolve(channel.superop, [0])
+    out = plus.evolve(channel, [0])
     assert abs(out.expectation(X) - math.exp(-(dt / 1000.0) / t2)) < 1e-12
 
 
@@ -315,8 +320,8 @@ def test_thermal_relaxation_coherence_decay():
     duration=st.sampled_from((0.0, 35.0, 300.0, 700.0)) | st.floats(0.0, 1e6),
 )
 def test_thermal_relaxation_operators_are_the_literal_products_bit_for_bit(t1, t2_share, duration):
-    # the four Kraus operators are written out entry by entry; they must equal
-    # the products d @ a of dephasing (d) and amplitude-damping (a) operators
+    # the four Kraus operators are written out entry by entry; the channel must be
+    # the one of the products d @ a of dephasing (d) and amplitude-damping (a) operators
     t2 = math.inf if math.isinf(t1) else min(t2_share * t1, 2.0 * t1)
     channel = thermal_relaxation_channel(t1, t2, duration)
     t_us = duration / 1000.0
@@ -333,9 +338,7 @@ def test_thermal_relaxation_operators_are_the_literal_products_bit_for_bit(t1, t
     )
     dephasing = (math.sqrt((1.0 + coherence) / 2.0) * I2, math.sqrt((1.0 - coherence) / 2.0) * Z)
     products = [d @ a for d in dephasing for a in damping]
-    assert len(channel.operators) == 4
-    for got, want in zip(channel.operators, products):
-        assert np.array_equal(got, want)
+    assert np.array_equal(channel, superoperator(products))
 
 
 def test_confusion_matrix_properties():
@@ -389,7 +392,7 @@ def test_noise_model_channel_placement():
     kinds = with_idle.channels_after(cnot, 4)
     assert len(kinds) == 5
     assert kinds[0][1] == (0, 3)
-    assert kinds[0][0].superop.shape == (16, 16)  # a two-qubit channel
+    assert kinds[0][0].shape == (16, 16)  # a two-qubit channel
     with pytest.raises(ValueError):
         compile_noise(parse_profile(MINIMAL_YAML)).channels_after(op, 4)
 
@@ -407,7 +410,7 @@ def test_compile_noise_is_memoised_read_only_and_bounded():
     with pytest.raises(FrozenInstanceError):
         model.include_idle = False
     channels = [*model.gate_depolarizing.values(), *model.relaxation.values()]
-    for array in [*model.confusion, *(channel.superop for channel in channels)]:
+    for array in [*model.confusion, *channels]:
         with pytest.raises(ValueError):
             array[0, 0] = 0.5
     bound = edrsim.noise._compile_noise.cache_parameters()["maxsize"]

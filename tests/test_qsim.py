@@ -12,14 +12,13 @@ from edrsim.qsim import (
     DensityMatrix,
     H,
     I2,
-    KrausChannel,
     X,
     Y,
     Z,
     rx,
     ry,
+    superoperator,
 )
-from edrsim.noise import depolarizing_channel, thermal_relaxation_channel
 
 KINDS = ("unitary", "dilation", "depolarizing", "relaxation")
 
@@ -43,7 +42,7 @@ def test_apply_unitary_matches_literal_kron():
         (2, CNOT, [0, 1], CNOT),
     ):
         rho = helpers.rand_density(rng, 2**n)
-        got = DensityMatrix(n, rho).evolve(KrausChannel((u,)).superop, targets).mat
+        got = DensityMatrix(n, rho).evolve(superoperator((u,)), targets).mat
         assert np.abs(got - full @ rho @ full.conj().T).max() < 1e-15
 
 
@@ -53,7 +52,7 @@ def test_apply_unitary_respects_target_order():
         ket = np.zeros(8)
         ket[basis] = 1.0
         state = DensityMatrix(3, helpers.pure_density(ket))
-        got = state.evolve(KrausChannel((CNOT,)).superop, [2, 0]).mat
+        got = state.evolve(superoperator((CNOT,)), [2, 0]).mat
         bits = [(basis >> (2 - q)) & 1 for q in range(3)]
         out = bits.copy()
         if bits[2] == 1:
@@ -65,8 +64,8 @@ def test_apply_unitary_respects_target_order():
 
 def test_evolution_rejects_bad_targets():
     state = DensityMatrix.ground(2)
-    flip = KrausChannel((X,)).superop
-    cnot = KrausChannel((CNOT,)).superop
+    flip = superoperator((X,))
+    cnot = superoperator((CNOT,))
     with pytest.raises(ValueError, match="outside register"):
         state.evolve(flip, [2])
     with pytest.raises(ValueError, match="duplicate"):
@@ -92,10 +91,24 @@ def test_constructor_rejects_unphysical():
         DensityMatrix(1, np.array([[0.9, 0.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         DensityMatrix(1, np.array([[0.5, 0.5], [0.0, 0.5]]))
-    # hermitian, unit trace, but not PSD: only validate() digs that deep
+    # hermitian, unit trace, but not PSD: only the oracle's state check digs that deep
     sneaky = DensityMatrix(1, np.array([[1.5, 0.0], [0.0, -0.5]]))
-    with pytest.raises(ValueError):
-        sneaky.validate()
+    with pytest.raises(ValueError, match="eigenvalue"):
+        helpers.validate_state(sneaky.mat)
+
+
+def test_trace_guard_sits_at_atol():
+    # twice ATOL off unit trace raises; half of it passes
+    with pytest.raises(ValueError, match="trace"):
+        DensityMatrix(1, np.diag([1.0 + 2.0 * ATOL, 0.0]))
+    DensityMatrix(1, np.diag([1.0 + ATOL / 2.0, 0.0]))
+
+
+def test_observable_hermiticity_guard_sits_at_atol():
+    state = DensityMatrix.ground(1)
+    with pytest.raises(ValueError, match="observable is not Hermitian"):
+        state.expectation(Z + np.array([[0.0, 2.0 * ATOL], [0.0, 0.0]]))
+    assert state.expectation(Z + np.array([[0.0, ATOL / 2.0], [0.0, 0.0]])) == 1.0
 
 
 def test_product_ordering():
@@ -107,7 +120,7 @@ def test_product_ordering():
 def test_apply_unitary_requires_unitary():
     state = DensityMatrix.ground(1)
     with pytest.raises(ValueError):
-        state.evolve(KrausChannel((np.array([[1.0, 0.0], [0.0, 2.0]]),)).superop, [0])
+        state.evolve(superoperator((np.array([[1.0, 0.0], [0.0, 2.0]]),)), [0])
 
 
 def test_partial_trace_of_product_state():
@@ -121,7 +134,7 @@ def test_partial_trace_of_product_state():
 
 
 def test_partial_trace_of_entangled_state():
-    hadamard, cnot = KrausChannel((H,)).superop, KrausChannel((CNOT,)).superop
+    hadamard, cnot = superoperator((H,)), superoperator((CNOT,))
     bell = DensityMatrix.ground(2).evolve(hadamard, [0]).evolve(cnot, [0, 1])
     for q in (0, 1):
         reduced = bell.partial_trace([q])
@@ -147,20 +160,30 @@ def test_expectation_validation():
 
 
 def test_kraus_channel_validation():
-    with pytest.raises(ValueError):
-        KrausChannel((0.5 * I2,))
-    flip = KrausChannel((math.sqrt(0.75) * I2, math.sqrt(0.25) * X))
-    assert flip.superop.shape == (4, 4)  # a one-qubit channel
-    state = DensityMatrix.ground(1).evolve(flip.superop, [0])
+    with pytest.raises(ValueError, match="not complete"):
+        superoperator((0.5 * I2,))
+    with pytest.raises(ValueError, match="at least one"):
+        superoperator(())
+    with pytest.raises(ValueError, match="square and equally sized"):
+        superoperator((I2, np.eye(4)))
+    with pytest.raises(ValueError, match="square and equally sized"):
+        superoperator((np.ones((2, 3)),))
+    # completeness: twice ATOL off the identity raises, half of it passes
+    with pytest.raises(ValueError, match="not complete"):
+        superoperator((math.sqrt(1.0 + 2.0 * ATOL) * I2,))
+    superoperator((math.sqrt(1.0 + ATOL / 2.0) * I2,))
+    flip = superoperator((math.sqrt(0.75) * I2, math.sqrt(0.25) * X))
+    assert flip.shape == (4, 4)  # a one-qubit channel
+    state = DensityMatrix.ground(1).evolve(flip, [0])
     assert abs(state.expectation(Z) - 0.5) < 1e-12
 
 
 def test_apply_channel_on_one_of_two_qubits():
     # depolarize the first qubit completely; the second must be untouched
     ops = tuple(m / 2.0 for m in (I2, X, Y, Z))
-    depol = KrausChannel(ops)
+    depol = superoperator(ops)
     rho = helpers.pure_density(np.array([1.0, -1.0j]) / math.sqrt(2.0), [0.0, 1.0])
-    state = DensityMatrix(2, rho).evolve(depol.superop, [0])
+    state = DensityMatrix(2, rho).evolve(depol, [0])
     assert np.abs(state.partial_trace([0]).mat - I2 / 2.0).max() < 1e-12
     assert abs(state.partial_trace([1]).expectation(Z) + 1.0) < 1e-12
 
@@ -172,7 +195,8 @@ def test_unitary_evolution_preserves_state_axioms(seed):
     state = DensityMatrix(2, helpers.rand_density(rng, 4))
     u = helpers.rand_unitary(rng, 2)
     target = int(rng.integers(0, 2))
-    evolved = state.evolve(KrausChannel((u,)).superop, [target]).validate()
+    evolved = state.evolve(superoperator((u,)), [target])
+    helpers.validate_state(evolved.mat)
     assert abs(np.trace(evolved.mat).real - 1.0) < 1e-10
     assert abs(helpers.purity(evolved.mat) - helpers.purity(state.mat)) < 1e-10
 
@@ -185,9 +209,9 @@ def test_channel_evolution_preserves_state_axioms(seed):
     # random channel from a 2-qubit unitary dilation on (target, environment)
     big = helpers.rand_unitary(rng, 4)
     ops = tuple(big[i * 2:(i + 1) * 2, 0:2] for i in range(2))
-    channel = KrausChannel(ops)
     target = int(rng.integers(0, 2))
-    evolved = state.evolve(channel.superop, [target]).validate()
+    evolved = state.evolve(superoperator(ops), [target])
+    helpers.validate_state(evolved.mat)
     assert abs(np.trace(evolved.mat).real - 1.0) < 1e-10
     assert helpers.purity(evolved.mat) <= 1.0 + 1e-10
     probs = evolved.probabilities()
@@ -216,13 +240,13 @@ def _kraus_operators(kind, k, rng):
         big = helpers.rand_unitary(rng, 2 ** (k + 1))
         return [big[i * 2**k:(i + 1) * 2**k, 0:2**k] for i in range(2)]
     if kind == "depolarizing":
-        return list(depolarizing_channel(float(rng.uniform(1e-4, 0.7)), k).operators)
+        return helpers.oracle_depolarizing_kraus(float(rng.uniform(1e-4, 0.7)), k)
     # thermal relaxation on each target, over a CNOT-length gate
     t1 = float(rng.uniform(5.0, 100.0))
     ops = [np.eye(1)]
     for _ in range(k):
-        relax = thermal_relaxation_channel(t1, float(rng.uniform(0.1, 2.0)) * t1, 300.0)
-        ops = [np.kron(a, b) for a in ops for b in relax.operators]
+        relax = helpers.oracle_relaxation_kraus(t1, float(rng.uniform(0.1, 2.0)) * t1, 300.0)
+        ops = [np.kron(a, b) for a in ops for b in relax]
     return ops
 
 
@@ -231,10 +255,10 @@ def _check_evolution_against_oracle(n, targets, kind, seed):
     rho = helpers.rand_density(rng, 2**n)
     ops = _kraus_operators(kind, len(targets), rng)
     state = DensityMatrix(n, rho)
-    got = state.evolve(KrausChannel(tuple(ops)).superop, targets)
+    got = state.evolve(superoperator(ops), targets)
     want = helpers.oracle_apply_kraus(rho, ops, list(targets), n)
     assert np.abs(got.mat - want).max() <= 1e-12
-    got.validate()  # evolution skips the construction checks; the full check still holds
+    helpers.validate_state(got.mat)  # evolution skips the construction checks; these still hold
 
 
 @settings(max_examples=120, deadline=None)

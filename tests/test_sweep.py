@@ -28,7 +28,7 @@ from edrsim.estimators import (
 )
 from edrsim.measurement import reference_input_state, standard_deviation
 from edrsim.noise import compile_noise, representative_profile
-from edrsim.qsim import DensityMatrix, KrausChannel, X, Z
+from edrsim.qsim import DensityMatrix, X, Z
 from edrsim.sweep import (
     CSV_COLUMNS,
     SweepConfig,
@@ -245,12 +245,13 @@ def test_sigma_source_simulated():
 
 
 def count_steps(monkeypatch, calls):
-    """Record each call of the one step kernel as a forward step (a stack of one state)
-    or a backward step (a stack of readout effects, pulled back to compile the readout map)."""
+    """Record each call of the one step kernel as a forward step (a stack of one state) or
+    a compile step (any other stack: a fused step's columns evolved by a channel, or readout
+    effects pulled back to build the readout map)."""
     original = edrsim.qsim.evolve_stack
 
     def counting(mats, superop, targets):
-        calls.append("forward" if len(mats) == 1 else "backward")
+        calls.append("forward" if len(mats) == 1 else "compile")
         return original(mats, superop, targets)
 
     for module in (edrsim.qsim, edrsim.estimators):
@@ -287,8 +288,10 @@ def test_repeat_sweep_compiles_nothing_and_still_evolves(monkeypatch):
             return original(*args, **kwargs)
         return counted
 
-    monkeypatch.setattr(KrausChannel, "__post_init__",
-                        counting("KrausChannel", KrausChannel.__post_init__))
+    built = edrsim.qsim.superoperator
+    for module in [m for name, m in sys.modules.items() if name.startswith("edrsim")]:
+        if vars(module).get("superoperator") is built:
+            monkeypatch.setattr(module, "superoperator", counting("superoperator", built))
     count_steps(monkeypatch, calls)
     for module, name in ((edrsim.estimators, "compile_steps"),
                          (edrsim.noise, "depolarizing_channel"),
@@ -296,7 +299,7 @@ def test_repeat_sweep_compiles_nothing_and_still_evolves(monkeypatch):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     assert run_sweep(cfg) == first
     # the 17 forward steps of test_evolution_count_does_not_scale_with_grid, no
-    # backward step, and nothing built
+    # compile step, and no superoperator built
     assert calls == ["forward"] * 17
 
 
