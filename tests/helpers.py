@@ -4,9 +4,10 @@ Everything here is literal numpy on explicit matrices, written without
 the package's own linear-algebra helpers, so agreement between the two
 paths is evidence rather than tautology.  The noisy oracles build every
 gate from its kind and angle and every channel from a calibration
-profile's fields alone, never from the package's noise model.  The sweep-output oracles format
-each cell by dispatching on its value's type, one cell at a time, where the
-package writes a whole row through one precompiled template.
+profile's fields alone, never from the package's noise model.  The
+sweep-output oracles format each cell by dispatching on its value's type,
+one cell at a time, where the package writes a whole row through one
+precompiled template.
 """
 
 from __future__ import annotations
@@ -97,9 +98,9 @@ def oracle_apply_kraus(
     return out
 
 
-def validate_state(rho: np.ndarray) -> np.ndarray:
-    """``rho`` itself, once it is Hermitian and of unit trace within 1e-12 and has no
-    eigenvalue below ``PSD_FLOOR``; raises ValueError otherwise."""
+def validate_state(rho: np.ndarray) -> None:
+    """Raise ValueError unless ``rho`` is Hermitian and of unit trace within 1e-12 and has
+    no eigenvalue below ``PSD_FLOOR``."""
     rho = np.asarray(rho)
     if np.abs(rho - rho.conj().T).max() > 1e-12:
         raise ValueError("state is not Hermitian")
@@ -108,7 +109,6 @@ def validate_state(rho: np.ndarray) -> np.ndarray:
     lowest = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0])
     if lowest < PSD_FLOOR:
         raise ValueError(f"state has eigenvalue {lowest:.3e} below {PSD_FLOOR}")
-    return rho
 
 
 def oracle_gate_unitary(op) -> np.ndarray:
