@@ -11,8 +11,7 @@ the run fails.  An unmutated copy runs first and must pass, or nothing can
 be told.  An old text that is not found exactly once is an error, not a
 pass.
 
-    python scripts/mutation_survey.py            # every mutant
-    python scripts/mutation_survey.py 6 7        # the named mutants only
+    python scripts/mutation_survey.py
 
 Exit status: 0 when every mutant was killed, 1 when any survived, 2 when a
 mutant does not apply or the unmutated copy fails.
@@ -102,13 +101,8 @@ def run_suite(mutant: tuple | None) -> tuple[bool, float]:
         return result.returncode == 0, time.perf_counter() - start
 
 
-def main(argv: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not argv or m[0] in argv]
-    unknown = set(argv) - {m[0] for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutant(s): {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
-    for ident, filename, old, _, _ in chosen:
+def main() -> int:
+    for ident, filename, old, _, _ in MUTANTS:
         found = (ROOT / "src" / "edrsim" / filename).read_text(encoding="utf-8").count(old)
         if found != 1:
             print(f"mutant {ident}: old text found {found} times in {filename}, not once",
@@ -120,18 +114,18 @@ def main(argv: list[str]) -> int:
     if not passed:
         return 2
     survived = []
-    for mutant in chosen:
+    for mutant in MUTANTS:
         passed, seconds = run_suite(mutant)
         print(f"{'SURVIVED' if passed else 'killed  '} {mutant[0]:>20}  {mutant[4]} ({seconds:.1f} s)",
               flush=True)
         if passed:
             survived.append(mutant[0])
-    killed = len(chosen) - len(survived)
-    print(f"{killed} of {len(chosen)} mutants killed in {time.perf_counter() - start:.0f} s")
+    killed = len(MUTANTS) - len(survived)
+    print(f"{killed} of {len(MUTANTS)} mutants killed in {time.perf_counter() - start:.0f} s")
     if survived:
         print(f"survived: {', '.join(survived)}")
     return 1 if survived else 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit(main())
