@@ -74,6 +74,8 @@ MUTANTS = (
      "compile cache bound set to 1"),
     ("clamp", "sweep.py", "v = np.clip(values, 0.0, 2.0)", "v = np.clip(values, 0.0, 1.9)",
      "classification clamp moved to 1.9"),
+    ("no-qubit-state", "qsim.py", "if n < 1 or rho.shape != (2**n, 2**n):",
+     "if rho.shape != (2**n, 2**n):", "state shape check admits a 1x1 register of no qubits"),
     ("exit-code", "cli.py", 'print(f"error: {exc}", file=sys.stderr)\n        return 2',
      'print(f"error: {exc}", file=sys.stderr)\n        return 1', "runtime exit code 2 -> 1"),
 )

@@ -88,16 +88,9 @@ def effective_bound(theta_w: float) -> float:
     return 4.0 / (3.0 + math.cos(2.0 * theta_w)) - 1.0
 
 
-@dataclass(frozen=True)
-class EdrReport:
-    """Each relation's left-hand side and satisfied flag by name, arrays for array inputs."""
-
-    lhs: dict[str, float | np.ndarray]
-    satisfied: dict[str, bool | np.ndarray]
-
-
-def classify(inputs: EdrInputs) -> EdrReport:
-    """Evaluate all four relations and flag each against c - 1e-9."""
+def classify(inputs: EdrInputs) -> tuple[dict, dict]:
+    """Each relation's left-hand side and its satisfied flag against c - 1e-9, as two dicts
+    keyed by ``BOUND_NAMES``; arrays for array inputs."""
     formulas = (heisenberg_lhs, ozawa_lhs, branciard_lhs, strong_branciard_lhs)
     lhs = {name: formula(inputs) for name, formula in zip(BOUND_NAMES, formulas)}
-    return EdrReport(lhs, {name: v >= inputs.c - SATISFIED_TOL for name, v in lhs.items()})
+    return lhs, {name: v >= inputs.c - SATISFIED_TOL for name, v in lhs.items()}

@@ -166,10 +166,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     inputs = EdrInputs(args.epsilon, args.eta, args.sigma_a, args.sigma_b, args.c)
-    report = classify(inputs)
-    for name, lhs in report.lhs.items():
-        verdict = "satisfied" if report.satisfied[name] else "VIOLATED"
-        print(f"{name:<17} lhs={lhs:<22.17g} bound={args.c:<8.6g} {verdict}")
+    lhs, satisfied = classify(inputs)
+    for name, value in lhs.items():
+        verdict = "satisfied" if satisfied[name] else "VIOLATED"
+        print(f"{name:<17} lhs={value:<22.17g} bound={args.c:<8.6g} {verdict}")
     return 0
 
 

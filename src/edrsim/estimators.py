@@ -41,7 +41,7 @@ import numpy as np
 
 from .circuit import METER, Circuit, build_edr_circuit
 from .noise import NoiseModel, apply_readout_confusion
-from .qsim import DensityMatrix, evolve_stack, ry, superoperator
+from .qsim import evolve_stack, probabilities, ry, superoperator
 
 _CACHED_CIRCUITS = 16  # compiled (theta_w, noise) pairs kept; a noisy sweep uses two
 
@@ -85,17 +85,13 @@ def compile_steps(circuit: Circuit, noise: NoiseModel | None = None) -> tuple[tu
     return tuple(steps)
 
 
-def _evolved(steps: Sequence[tuple], num_qubits: int) -> DensityMatrix:
-    """|0...0> evolved through ``steps`` as a stack of one matrix, wrapped once at the end."""
-    mats = DensityMatrix.ground(num_qubits).mat[None]
+def _evolved(steps: Sequence[tuple], num_qubits: int) -> np.ndarray:
+    """|0...0> evolved through ``steps`` as a stack of one matrix; a fresh array."""
+    mats = np.zeros((1, 2**num_qubits, 2**num_qubits), dtype=complex)
+    mats[0, 0, 0] = 1.0
     for superop, targets in steps:
         mats = evolve_stack(mats, superop, targets)
-    return DensityMatrix(num_qubits, mats[0], check=False)
-
-
-def run_circuit(circuit: Circuit, noise: NoiseModel | None = None) -> DensityMatrix:
-    """|0...0> evolved through the circuit's compiled steps."""
-    return _evolved(compile_steps(circuit, noise), circuit.num_qubits)
+    return mats[0]
 
 
 def outcome_distribution(
@@ -107,7 +103,8 @@ def outcome_distribution(
     exactly the distribution the sampler draws from.
     """
     circuit = build_edr_circuit(theta_w, theta)
-    probs = run_circuit(circuit, noise).probabilities(circuit.measured_qubits)
+    state = _evolved(compile_steps(circuit, noise), circuit.num_qubits)
+    probs = probabilities(state, circuit.measured_qubits)
     if noise is not None:
         probs = apply_readout_confusion(probs, noise, circuit.measured_qubits)
     return probs
@@ -173,7 +170,7 @@ def _readout_map(theta_w: float, noise: NoiseModel | None) -> np.ndarray:
     return readout
 
 
-def prefix_state(theta_w: float, noise: NoiseModel | None = None) -> DensityMatrix:
+def prefix_state(theta_w: float, noise: NoiseModel | None = None) -> np.ndarray:
     """The register after both weak probes, before the meter's rotation."""
     num_qubits, steps = _compiled(theta_w, noise)
     return _evolved(steps, num_qubits)
@@ -181,7 +178,7 @@ def prefix_state(theta_w: float, noise: NoiseModel | None = None) -> DensityMatr
 
 def readout_basis(
     theta_w: float, noise: NoiseModel | None = None
-) -> tuple[np.ndarray, DensityMatrix]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The 3x16 basis [A; B; C] of the readout distribution, and the state before the meter.
 
     At meter angle theta the distribution, readout confusion included, is
@@ -191,7 +188,7 @@ def readout_basis(
     one real product.
     """
     state = prefix_state(theta_w, noise)
-    basis = _readout_map(theta_w, noise) @ state.mat.ravel().view(float)
+    basis = _readout_map(theta_w, noise) @ state.ravel().view(float)
     return basis.reshape(3, -1), state
 
 

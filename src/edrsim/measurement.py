@@ -39,16 +39,16 @@ import math
 
 import numpy as np
 
-from .qsim import ATOL, CNOT, I2, X, Z, DensityMatrix
+from .qsim import ATOL, CNOT, I2, X, Z, expectation
 
 # Standard input state: the -1 eigenstate of Y, written with exact dyadic
 # entries so that expectation values on it stay exact in floating point.
 _RHO_R = np.array([[0.5, 0.5j], [-0.5j, 0.5]], dtype=complex)
 
 
-def reference_input_state() -> DensityMatrix:
-    """|R><R| with R = (|0> - i|1>)/sqrt(2); maximises the commutator bound."""
-    return DensityMatrix(1, _RHO_R.copy())
+def reference_input_state() -> np.ndarray:
+    """|R><R| with R = (|0> - i|1>)/sqrt(2), a fresh array; maximises the commutator bound."""
+    return _RHO_R.copy()
 
 
 # D of the error (A = M = Z) and of the disturbance of B = X, U the CNOT
@@ -56,7 +56,7 @@ _Z_NOISE_OP = CNOT.conj().T @ np.kron(I2, Z) @ CNOT - np.kron(Z, I2)
 _X_DISTURBANCE_OP = CNOT.conj().T @ np.kron(X, I2) @ CNOT - np.kron(X, I2)
 
 
-def _rms(op: np.ndarray, system_state: DensityMatrix, strength: float | np.ndarray):
+def _rms(op: np.ndarray, system_state: np.ndarray, strength: float | np.ndarray):
     """sqrt(<op^2>) on rho x |m><m|, as sqrt(tr(rho W^ W)) with W = op (I x |m>).
 
     The strength-s meter ket m = ry(acos s)|0> is built from s directly, and
@@ -66,42 +66,42 @@ def _rms(op: np.ndarray, system_state: DensityMatrix, strength: float | np.ndarr
     s = np.asarray(strength, dtype=float)
     if not np.all((0.0 <= s) & (s <= 1.0)):
         raise ValueError(f"strength {strength} outside [0, 1]")
-    if system_state.num_qubits != 1:
+    if system_state.shape != (2, 2):
         raise ValueError("system state must be a single qubit")
     m0, m1 = np.sqrt((1.0 + s) / 2.0)[..., None, None], np.sqrt((1.0 - s) / 2.0)[..., None, None]
     w = m0 * op[:, 0::2] + m1 * op[:, 1::2]
     wtw = w.conj().swapaxes(-1, -2) @ w
-    out = np.sqrt(np.maximum(np.trace(system_state.mat @ wtw, axis1=-2, axis2=-1).real, 0.0))
+    out = np.sqrt(np.maximum(np.trace(system_state @ wtw, axis1=-2, axis2=-1).real, 0.0))
     return float(out) if out.ndim == 0 else out
 
 
-def exact_error(system_state: DensityMatrix, strength: float | np.ndarray):
+def exact_error(system_state: np.ndarray, strength: float | np.ndarray):
     """Operator-definition error of the strength-s Z measurement, per strength for an array."""
     return _rms(_Z_NOISE_OP, system_state, strength)
 
 
-def exact_disturbance(system_state: DensityMatrix, strength: float | np.ndarray):
+def exact_disturbance(system_state: np.ndarray, strength: float | np.ndarray):
     """Operator-definition disturbance of X under the strength-s Z measurement, per strength."""
     return _rms(_X_DISTURBANCE_OP, system_state, strength)
 
 
-def standard_deviation(state: DensityMatrix, obs: np.ndarray) -> float:
+def standard_deviation(state: np.ndarray, obs: np.ndarray) -> float:
     """sqrt(<obs^2> - <obs>^2) on the given state."""
     obs = np.asarray(obs, dtype=complex)
-    mean = state.expectation(obs)
-    second = state.expectation(obs @ obs)
+    mean = expectation(state, obs)
+    second = expectation(state, obs @ obs)
     variance = second - mean * mean
     if variance < -ATOL:
         raise ValueError(f"negative squared quantity {variance} beyond tolerance")
     return math.sqrt(max(variance, 0.0))
 
 
-def commutator_bound(state: DensityMatrix, a: np.ndarray, b: np.ndarray) -> float:
+def commutator_bound(state: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     """|<[A, B]>| / 2, the right-hand side shared by the uncertainty relations."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     for name, obs in (("a", a), ("b", b)):
         if np.max(np.abs(obs - obs.conj().T)) > ATOL:
             raise ValueError(f"observable {name} is not Hermitian")
-    value = np.trace(state.mat @ (a @ b - b @ a))
+    value = np.trace(state @ (a @ b - b @ a))
     return abs(value) / 2.0

@@ -1,21 +1,20 @@
 """Dense density-matrix simulation for small qubit registers.
 
-States are 2**n x 2**n complex density matrices with qubit 0 as the most
-significant tensor factor, i.e. the basis index of |b0 b1 ... b(n-1)> is
-the integer with bit b0 in the highest position.  Every operation returns
-a new state; nothing is mutated in place, so states can be shared freely
-across threads and processes.
+A state is a plain complex 2**n x 2**n array, n read from its shape, with
+qubit 0 as the most significant tensor factor, i.e. the basis index of
+|b0 b1 ... b(n-1)> is the integer with bit b0 in the highest position.
+No function mutates its inputs, and no state is memoised: an evolution
+builds a fresh array on every call, so states can be shared freely.
 
 Numerical contracts, assuming double precision and registers of at most
 about ten qubits: equality-type checks use an absolute tolerance of
-``ATOL`` (1e-12).  Hermiticity and unit trace are enforced on
-construction, but not on an evolution's output (``check=False``), which
-a trace-preserving map keeps valid.
+``ATOL`` (1e-12).  ``density_matrix`` enforces Hermiticity and unit trace;
+an evolution's output, which a trace-preserving map keeps valid, is not
+checked again.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
 from functools import cache
 from typing import Sequence
 
@@ -120,82 +119,66 @@ def superoperator(kraus: Sequence[np.ndarray]) -> np.ndarray:
     return superop
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Immutable density matrix over ``num_qubits`` qubits."""
+def _num_qubits(rho: np.ndarray) -> int:
+    """n for a (2**n, 2**n) array with n >= 1; raises ValueError for any other shape."""
+    n = rho.shape[-1].bit_length() - 1
+    if n < 1 or rho.shape != (2**n, 2**n):
+        raise ValueError(f"matrix shape {rho.shape} is not (2**n, 2**n) for n >= 1 qubits")
+    return n
 
-    num_qubits: int
-    mat: np.ndarray
-    check: InitVar[bool] = True
 
-    def __post_init__(self, check: bool) -> None:
-        mat = np.asarray(self.mat, dtype=complex)
-        object.__setattr__(self, "mat", mat)
-        dim = 2**self.num_qubits
-        if self.num_qubits < 1:
-            raise ValueError("need at least one qubit")
-        if mat.shape != (dim, dim):
-            raise ValueError(f"matrix shape {mat.shape} does not match {self.num_qubits} qubit(s)")
-        if check:
-            _require_hermitian(mat, "density matrix")
-            tr = np.trace(mat)
-            if abs(tr - 1.0) > ATOL:
-                raise ValueError(f"density matrix trace {tr} is not 1")
+def density_matrix(mat: np.ndarray) -> np.ndarray:
+    """``mat`` as a complex state, checked: (2**n, 2**n) with n >= 1, Hermitian and of unit
+    trace within ``ATOL``."""
+    mat = np.asarray(mat, dtype=complex)
+    _num_qubits(mat)
+    _require_hermitian(mat, "density matrix")
+    tr = np.trace(mat)
+    if abs(tr - 1.0) > ATOL:
+        raise ValueError(f"density matrix trace {tr} is not 1")
+    return mat
 
-    @classmethod
-    def ground(cls, num_qubits: int) -> "DensityMatrix":
-        """The all-zeros computational basis state."""
-        dim = 2**num_qubits
-        mat = np.zeros((dim, dim), dtype=complex)
-        mat[0, 0] = 1.0
-        return cls(num_qubits, mat)
 
-    def evolve(self, superop: np.ndarray, targets: Sequence[int]) -> "DensityMatrix":
-        """rho -> S(rho) for a superoperator S on ``targets`` (their order defines the wiring):
-        ``evolve_stack`` on a stack of one.  The trace is preserved when S is trace preserving."""
-        out = evolve_stack(self.mat[None], superop, targets)[0]
-        return DensityMatrix(self.num_qubits, out, check=False)
+def partial_trace(rho: np.ndarray, keep: Sequence[int]) -> np.ndarray:
+    """Reduced state over ``keep``, ordered as listed, checked by ``density_matrix``."""
+    keep = tuple(keep)
+    n = _num_qubits(rho)
+    _check_targets(keep, n)
+    keepset = set(keep)
+    t = rho.reshape((2,) * (2 * n))
+    row = list(range(n))
+    col = [n + q if q in keepset else q for q in range(n)]
+    out = [row[q] for q in keep] + [col[q] for q in keep]
+    reduced = np.einsum(t, row + col, out)
+    k = len(keep)
+    return density_matrix(reduced.reshape(2**k, 2**k))
 
-    def partial_trace(self, keep: Sequence[int]) -> "DensityMatrix":
-        """Reduced state over ``keep``, ordered as listed."""
-        keep = tuple(keep)
-        _check_targets(keep, self.num_qubits)
-        n = self.num_qubits
-        keepset = set(keep)
-        t = self.mat.reshape((2,) * (2 * n))
-        row = list(range(n))
-        col = [n + q if q in keepset else q for q in range(n)]
-        out = [row[q] for q in keep] + [col[q] for q in keep]
-        reduced = np.einsum(t, row + col, out)
-        k = len(keep)
-        return DensityMatrix(k, reduced.reshape(2**k, 2**k))
 
-    def expectation(self, obs: np.ndarray) -> float:
-        """Real expectation value of a Hermitian observable on the full register."""
-        obs = np.asarray(obs, dtype=complex)
-        if obs.shape != self.mat.shape:
-            raise ValueError(f"observable shape {obs.shape} does not match state")
-        _require_hermitian(obs, "observable")
-        val = np.trace(self.mat @ obs)
-        if abs(val.imag) > 1e-10:
-            raise ValueError(f"expectation has imaginary residue {val.imag:.3e}")
-        return float(val.real)
+def expectation(rho: np.ndarray, obs: np.ndarray) -> float:
+    """Real expectation value of a Hermitian observable on the state's whole register."""
+    obs = np.asarray(obs, dtype=complex)
+    if obs.shape != rho.shape:
+        raise ValueError(f"observable shape {obs.shape} does not match state")
+    _require_hermitian(obs, "observable")
+    val = np.trace(rho @ obs)
+    if abs(val.imag) > 1e-10:
+        raise ValueError(f"expectation has imaginary residue {val.imag:.3e}")
+    return float(val.real)
 
-    def probabilities(self, targets: Sequence[int] | None = None) -> np.ndarray:
-        """Measurement probabilities over ``targets`` in the computational basis.
 
-        The returned vector has length 2**len(targets); entry ``j`` is the
-        probability of the outcome whose bits, most significant first,
-        follow the order of ``targets``.
-        """
-        if targets is None:
-            targets = tuple(range(self.num_qubits))
-        targets = tuple(targets)
-        _check_targets(targets, self.num_qubits)
-        n = self.num_qubits
-        diag = np.real(np.diag(self.mat))
-        idx = np.arange(2**n)
-        out_index = np.zeros(2**n, dtype=np.int64)
-        for q in targets:
-            out_index = (out_index << 1) | ((idx >> (n - 1 - q)) & 1)
-        return np.bincount(out_index, weights=diag, minlength=2 ** len(targets))
+def probabilities(rho: np.ndarray, targets: Sequence[int]) -> np.ndarray:
+    """Measurement probabilities over ``targets`` in the computational basis.
+
+    The returned vector has length 2**len(targets); entry ``j`` is the
+    probability of the outcome whose bits, most significant first,
+    follow the order of ``targets``.
+    """
+    targets = tuple(targets)
+    n = _num_qubits(rho)
+    _check_targets(targets, n)
+    diag = np.real(np.diag(rho))
+    idx = np.arange(2**n)
+    out_index = np.zeros(2**n, dtype=np.int64)
+    for q in targets:
+        out_index = (out_index << 1) | ((idx >> (n - 1 - q)) & 1)
+    return np.bincount(out_index, weights=diag, minlength=2 ** len(targets))

@@ -40,7 +40,7 @@ from .estimators import (
 )
 from .measurement import exact_disturbance, exact_error, reference_input_state, standard_deviation
 from .noise import CalibrationProfile, NoiseModel, compile_noise
-from .qsim import DensityMatrix, X, Z
+from .qsim import X, Z, partial_trace
 
 MODES = ("exact", "sampled", "both")
 SIGMA_SOURCES = ("ideal", "simulated")
@@ -121,9 +121,9 @@ class SweepResultRow(NamedTuple):
 CSV_COLUMNS = SweepResultRow._fields
 
 
-def post_probe_system_state(theta_w: float, noise: NoiseModel | None = None) -> DensityMatrix:
+def post_probe_system_state(theta_w: float, noise: NoiseModel | None = None) -> np.ndarray:
     """Reduced system state after both weak probes, before the main measurement."""
-    return prefix_state(theta_w, noise).partial_trace([SYSTEM])
+    return partial_trace(prefix_state(theta_w, noise), [SYSTEM])
 
 
 def _sequential_mean(values: np.ndarray) -> np.ndarray:
@@ -151,24 +151,24 @@ def _row_statistics(
     roots = np.sqrt(np.maximum(squares, 0.0))
     means = _sequential_mean(roots)
 
-    def relations(values: np.ndarray) -> edr_bounds.EdrReport:
+    def relations(values: np.ndarray) -> tuple[dict, dict]:
         # shot noise on a weak-valued estimate can stray past the physical
         # interval; classification is only defined inside it, so clamp
         v = np.clip(values, 0.0, 2.0)
         return edr_bounds.classify(edr_bounds.EdrInputs(v[..., 0], v[..., 1], *sigmas, c))
 
-    at_mean = relations(means)
+    lhs, satisfied = relations(means)
     # one repeat is its own mean, bit for bit: its relations are those at the mean
-    at_repeats = relations(roots).lhs if squares.shape[1] > 1 else {
-        name: lhs[:, None] for name, lhs in at_mean.lhs.items()}
+    at_repeats = relations(roots)[0] if squares.shape[1] > 1 else {
+        name: values[:, None] for name, values in lhs.items()}
     columns = {}
     for k, name in enumerate(("epsilon", "eta")):
         columns[f"{name}_mean"] = means[:, k]
         columns[f"{name}_rms"] = _rms(roots[..., k], means[:, k])
     for name in edr_bounds.BOUND_NAMES:
-        columns[f"{name}_lhs"] = at_mean.lhs[name]
-        columns[f"{name}_rms"] = _rms(at_repeats[name], at_mean.lhs[name])
-        columns[f"{name}_satisfied"] = at_mean.satisfied[name]
+        columns[f"{name}_lhs"] = lhs[name]
+        columns[f"{name}_rms"] = _rms(at_repeats[name], lhs[name])
+        columns[f"{name}_satisfied"] = satisfied[name]
     return {name: values.tolist() for name, values in columns.items()}
 
 
@@ -177,11 +177,11 @@ def run_sweep(cfg: SweepConfig) -> list[SweepResultRow]:
     theta_w = angle_for_strength(cfg.theta_w_strength)
     profile = cfg.noise_profile
     model = None if profile is None else compile_noise(profile, include_idle=cfg.include_idle)
-    basis, prefix_state = readout_basis(theta_w, model)
+    basis, prefix = readout_basis(theta_w, model)
     # the evolved prefix's system state is the exact reference's input without
     # noise and sigma's source when simulated; reduce it only if one of them reads it
     simulated = cfg.sigma_source == "simulated"
-    reduced = prefix_state.partial_trace([SYSTEM]) if model is None or simulated else None
+    reduced = partial_trace(prefix, [SYSTEM]) if model is None or simulated else None
     probe_state = reduced if model is None else post_probe_system_state(theta_w)
     sigma_state = reduced if simulated else reference_input_state()
     sigmas = (standard_deviation(sigma_state, Z), standard_deviation(sigma_state, X))

@@ -7,7 +7,9 @@ gate from its kind and angle and every channel from a calibration
 profile's fields alone, never from the package's noise model.  The
 sweep-output oracles format each cell by dispatching on its value's type,
 one cell at a time, where the package writes a whole row through one
-precompiled template.
+precompiled template.  ``evolve`` and ``compiled_state`` are the exception:
+they run the package's own step kernel, for tests that check what it
+evolves rather than how.
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ import json
 import math
 
 import numpy as np
+
+from edrsim.estimators import compile_steps
+from edrsim.qsim import evolve_stack
 
 ID2 = np.eye(2, dtype=complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -109,6 +114,25 @@ def validate_state(rho: np.ndarray) -> None:
     lowest = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0])
     if lowest < PSD_FLOOR:
         raise ValueError(f"state has eigenvalue {lowest:.3e} below {PSD_FLOOR}")
+
+
+def evolve(rho: np.ndarray, steps) -> np.ndarray:
+    """``rho`` evolved through (superoperator, targets) ``steps`` in order, each step one
+    ``evolve_stack`` call on a stack of one state: the package's path, not an oracle."""
+    mats = np.asarray(rho, dtype=complex)[None]
+    for superop, targets in steps:
+        mats = evolve_stack(mats, superop, targets)
+    return mats[0]
+
+
+def ground_density(num_qubits: int) -> np.ndarray:
+    """|0...0><0...0| on ``num_qubits`` qubits."""
+    return pure_density(*[[1.0, 0.0]] * num_qubits)
+
+
+def compiled_state(circuit, noise=None) -> np.ndarray:
+    """|0...0> evolved through ``compile_steps(circuit, noise)`` by ``evolve``."""
+    return evolve(ground_density(circuit.num_qubits), compile_steps(circuit, noise))
 
 
 def oracle_gate_unitary(op) -> np.ndarray:

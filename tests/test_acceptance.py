@@ -36,7 +36,7 @@ from edrsim.measurement import (
     reference_input_state,
 )
 from edrsim.noise import representative_profile
-from edrsim.qsim import DensityMatrix, X, Z
+from edrsim.qsim import X, Z, density_matrix
 from edrsim.sweep import SweepConfig, default_strength_grid, run_sweep
 
 THETA_W = angle_for_strength(0.05)
@@ -62,7 +62,7 @@ def test_gate_1_operator_definitions_match_brute_force():
     worst = 0.0
     for _ in range(20):
         rho = helpers.rand_density(rng)
-        state = DensityMatrix(1, rho)
+        state = density_matrix(rho)
         for s in GRID:
             worst = max(
                 worst,
@@ -93,7 +93,7 @@ def test_gate_3_strengthened_relation_saturates():
     worst = 0.0
     for s in GRID:
         inputs = EdrInputs(exact_error(state, s), exact_disturbance(state, s), 1.0, 1.0, 1.0)
-        worst = max(worst, abs(classify(inputs).lhs["strong_branciard"] - 1.0))
+        worst = max(worst, abs(classify(inputs)[0]["strong_branciard"] - 1.0))
     print(f"gate 3 {'PASS' if worst < 1e-9 else 'FAIL'}: "
           f"strengthened relation saturation, worst |lhs - 1| = {worst:.3e}")
     assert worst < 1e-9

@@ -119,28 +119,28 @@ def test_effective_bound_monotone_in_probe_angle():
 
 
 def test_classification_tolerance():
-    report = classify(unit(1.0, 1.0 - 5e-10))
-    assert report.satisfied["heisenberg"]  # within 1e-9 of the bound
-    report = classify(unit(1.0, 1.0 - 1e-6))
-    assert not report.satisfied["heisenberg"]
+    _, satisfied = classify(unit(1.0, 1.0 - 5e-10))
+    assert satisfied["heisenberg"]  # within 1e-9 of the bound
+    _, satisfied = classify(unit(1.0, 1.0 - 1e-6))
+    assert not satisfied["heisenberg"]
 
 
 @pytest.mark.parametrize("c", (1.0, 0.5))
 def test_relation_flags_are_pinned_at_their_tolerance(c):
     # lhs = epsilon * eta for Heisenberg; the flag's tolerance is 1e-9 below c
     for below, satisfied in ((2e-9, False), (5e-10, True)):
-        report = classify(EdrInputs(c - below, 1.0, 1.0, 1.0, c))
-        assert report.satisfied["heisenberg"] is satisfied, (c, below)
+        _, flags = classify(EdrInputs(c - below, 1.0, 1.0, 1.0, c))
+        assert flags["heisenberg"] is satisfied, (c, below)
 
 
 def test_classify_report_shape():
-    report = classify(unit(MIDPOINT, MIDPOINT))
-    assert list(report.lhs) == list(report.satisfied) == list(BOUND_NAMES)
-    assert not report.satisfied["heisenberg"]
-    assert report.satisfied["ozawa"]
-    assert report.satisfied["branciard"]
-    assert report.satisfied["strong_branciard"]
-    assert report.lhs["ozawa"] == ozawa_lhs(unit(MIDPOINT, MIDPOINT))
+    lhs, satisfied = classify(unit(MIDPOINT, MIDPOINT))
+    assert list(lhs) == list(satisfied) == list(BOUND_NAMES)
+    assert not satisfied["heisenberg"]
+    assert satisfied["ozawa"]
+    assert satisfied["branciard"]
+    assert satisfied["strong_branciard"]
+    assert lhs["ozawa"] == ozawa_lhs(unit(MIDPOINT, MIDPOINT))
 
 
 def test_region_ordering_on_grid():
@@ -149,12 +149,12 @@ def test_region_ordering_on_grid():
     grid = np.linspace(0.0, 2.0, 101)
     for eps in grid:
         for eta in grid:
-            report = classify(unit(float(eps), float(eta)))
-            if report.satisfied["strong_branciard"]:
-                assert report.satisfied["branciard"], (eps, eta)
-            if report.satisfied["branciard"]:
-                assert report.satisfied["ozawa"], (eps, eta)
-            assert report.lhs["strong_branciard"] <= report.lhs["branciard"] + 1e-9, (eps, eta)
+            lhs, satisfied = classify(unit(float(eps), float(eta)))
+            if satisfied["strong_branciard"]:
+                assert satisfied["branciard"], (eps, eta)
+            if satisfied["branciard"]:
+                assert satisfied["ozawa"], (eps, eta)
+            assert lhs["strong_branciard"] <= lhs["branciard"] + 1e-9, (eps, eta)
 
 
 @settings(max_examples=80, deadline=None)
@@ -185,9 +185,9 @@ def test_branciard_radicand_rounds_up_to_zero():
 def test_classify_on_arrays_matches_scalar_classify(pairs, sigma_a, sigma_b, c):
     epsilon = np.array([e for e, _ in pairs])
     eta = np.array([n for _, n in pairs])
-    report = classify(EdrInputs(epsilon, eta, sigma_a, sigma_b, c))
+    lhs, satisfied = classify(EdrInputs(epsilon, eta, sigma_a, sigma_b, c))
     for i, (e, n) in enumerate(pairs):
-        one = classify(EdrInputs(e, n, sigma_a, sigma_b, c))
+        one_lhs, one_satisfied = classify(EdrInputs(e, n, sigma_a, sigma_b, c))
         for name in BOUND_NAMES:
-            assert report.lhs[name][i] == one.lhs[name], (name, e, n)
-            assert report.satisfied[name][i] == one.satisfied[name], (name, e, n)
+            assert lhs[name][i] == one_lhs[name], (name, e, n)
+            assert satisfied[name][i] == one_satisfied[name], (name, e, n)

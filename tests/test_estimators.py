@@ -16,12 +16,11 @@ from edrsim.estimators import (
     compile_steps,
     outcome_distribution,
     readout_basis,
-    run_circuit,
     sample_counts,
     weak_valued_squares,
 )
 from edrsim.noise import CalibrationProfile, QubitCalibration, compile_noise, representative_profile
-from edrsim.qsim import CNOT, DensityMatrix, superoperator
+from edrsim.qsim import CNOT, superoperator
 
 THETA_W = angle_for_strength(0.05)
 
@@ -100,12 +99,11 @@ def calibration_profiles(draw):
 
 def unfused_run(circuit, model):
     """The circuit evolved one gate and one channel at a time, in ``channels_after`` order."""
-    state = DensityMatrix.ground(circuit.num_qubits)
+    steps = []
     for op in circuit.ops:
-        state = state.evolve(op.superop(), op.qubits)
-        for channel, targets in model.channels_after(op, circuit.num_qubits):
-            state = state.evolve(channel, targets)
-    return state
+        steps.append((op.superop(), op.qubits))
+        steps.extend(model.channels_after(op, circuit.num_qubits))
+    return helpers.evolve(helpers.ground_density(circuit.num_qubits), steps)
 
 
 @settings(max_examples=40, deadline=None)
@@ -119,10 +117,10 @@ def test_fused_steps_match_unfused_loop_and_literal_oracle(profile, include_idle
     model = compile_noise(profile, include_idle=include_idle)
     theta_w, theta = angle_for_strength(probe), angle_for_strength(strength)
     circuit = build_edr_circuit(theta_w, theta)
-    fused = run_circuit(circuit, model)
-    assert np.abs(fused.mat - unfused_run(circuit, model).mat).max() <= 1e-12
+    fused = helpers.compiled_state(circuit, model)
+    assert np.abs(fused - unfused_run(circuit, model)).max() <= 1e-12
     want = helpers.oracle_noisy_state(circuit, profile, include_idle)
-    assert np.abs(fused.mat - want).max() <= 1e-12
+    assert np.abs(fused - want).max() <= 1e-12
     want = helpers.oracle_noisy_outcome_distribution(circuit, profile, include_idle)
     assert np.abs(outcome_distribution(theta_w, theta, model) - want).max() <= 1e-12
     basis, _ = readout_basis(theta_w, model)
@@ -145,7 +143,7 @@ def test_fusion_keeps_noise_between_gates_on_the_same_qubit():
     for include_idle, fused_steps in ((True, 8), (False, 6)):
         model = compile_noise(profile, include_idle=include_idle)
         want = helpers.oracle_noisy_state(circuit, profile, include_idle)
-        assert np.abs(run_circuit(circuit, model).mat - want).max() <= 1e-12
+        assert np.abs(helpers.compiled_state(circuit, model) - want).max() <= 1e-12
         # one step per gate, plus one each for the idle relaxation of qubits 1 and 2
         assert len(compile_steps(circuit, model)) == fused_steps
     # gates never merge: one step per gate without noise
@@ -178,7 +176,7 @@ def test_fusion_starts_a_step_for_a_channel_wider_than_the_latest_step():
     steps = compile_steps(circuit, WideNoise())
     assert [targets for _, targets in steps] == [(0,), (1, 0), (1,), (1, 0), (0, 1), (0,), (1, 0)]
     want = helpers.oracle_kraus_state(circuit, lambda op: [(WideNoise.kraus, (1, 0))])
-    assert np.abs(run_circuit(circuit, WideNoise()).mat - want).max() <= 1e-12
+    assert np.abs(helpers.compiled_state(circuit, WideNoise()) - want).max() <= 1e-12
 
 
 def test_outcome_distribution_matches_independent_simulation():
@@ -202,11 +200,11 @@ def test_noisy_outcome_distribution_matches_literal_oracle(model_name, strength)
         circuit, representative_profile(), INCLUDE_IDLE[model_name]
     )
     assert np.abs(got - want).max() <= 1e-12
-    # evolution skips the construction checks; the final state must still pass them all
-    state = run_circuit(circuit, model)
-    helpers.validate_state(state.mat)
-    assert np.abs(state.mat - state.mat.conj().T).max() <= 1e-12
-    assert abs(np.trace(state.mat) - 1.0) <= 1e-12
+    # evolution skips density_matrix's checks; the final state must still pass them all
+    state = helpers.compiled_state(circuit, model)
+    helpers.validate_state(state)
+    assert np.abs(state - state.conj().T).max() <= 1e-12
+    assert abs(np.trace(state) - 1.0) <= 1e-12
 
 
 def test_correlator_closed_forms():
@@ -259,10 +257,10 @@ def test_memoised_arrays_are_read_only(model_name):
             array *= 1.0
 
 
-def test_run_circuit_noiseless_is_pure():
+def test_compiled_noiseless_state_is_pure():
     circ = build_edr_circuit(THETA_W, angle_for_strength(0.4))
-    state = run_circuit(circ)
-    assert abs(helpers.purity(state.mat) - 1.0) < 1e-12
+    state = helpers.compiled_state(circ)
+    assert abs(helpers.purity(state) - 1.0) < 1e-12
 
 
 @settings(max_examples=20, deadline=None)
@@ -279,7 +277,7 @@ def test_readout_map_matches_per_point_evolution(profile, include_idle, probe, s
     basis, state = readout_basis(theta_w, model)
     readout = edrsim.estimators._readout_map(theta_w, model)
     assert readout.shape == (3 * 16, 2 * 4**4)
-    assert np.array_equal(basis.ravel(), readout @ state.mat.ravel().view(float))
+    assert np.array_equal(basis.ravel(), readout @ state.ravel().view(float))
     got = basis_probabilities(basis, np.array(strengths))
     for row, strength in zip(got, strengths):
         want = outcome_distribution(theta_w, angle_for_strength(strength), model)

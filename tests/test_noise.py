@@ -23,7 +23,7 @@ from edrsim.noise import (
     representative_profile,
     thermal_relaxation_channel,
 )
-from edrsim.qsim import DensityMatrix, I2, X, Z, superoperator
+from edrsim.qsim import I2, X, Z, density_matrix, expectation, superoperator
 
 MINIMAL_YAML = """\
 schema_version: 1
@@ -266,36 +266,36 @@ def test_depolarizing_channel_structure():
     with pytest.raises(ValueError):
         depolarizing_channel(0.01, 3)
     # the mixing probability saturates at 1: error 0.9 and 0.5 coincide for one qubit
-    saturated = DensityMatrix.ground(1).evolve(depolarizing_channel(0.9, 1), [0])
-    assert np.abs(saturated.mat - I2 / 2.0).max() < 1e-12
+    saturated = helpers.evolve(helpers.ground_density(1), [(depolarizing_channel(0.9, 1), [0])])
+    assert np.abs(saturated - I2 / 2.0).max() < 1e-12
 
 
 def test_depolarizing_channel_action():
     # full-strength single-qubit depolarizing sends everything to I/2
     full = depolarizing_channel(0.75, 1)
-    state = DensityMatrix.ground(1).evolve(full, [0])
-    assert np.abs(state.mat - I2 / 2.0).max() < 1e-12
+    state = helpers.evolve(helpers.ground_density(1), [(full, [0])])
+    assert np.abs(state - I2 / 2.0).max() < 1e-12
     # maximally mixed state is a fixed point at any error rate
-    mixed = DensityMatrix(1, I2 / 2.0)
-    out = mixed.evolve(depolarizing_channel(0.3, 1), [0])
-    assert np.abs(out.mat - I2 / 2.0).max() < 1e-12
+    mixed = density_matrix(I2 / 2.0)
+    out = helpers.evolve(mixed, [(depolarizing_channel(0.3, 1), [0])])
+    assert np.abs(out - I2 / 2.0).max() < 1e-12
     # contraction factor on traceless components is 1 - error*d/(d-1)
-    plus = DensityMatrix(1, helpers.pure_density(np.array([1.0, 1.0]) / math.sqrt(2.0)))
-    shrunk = plus.evolve(depolarizing_channel(0.03, 1), [0])
-    assert abs(shrunk.expectation(X) - (1.0 - 0.03 * 2.0)) < 1e-12
+    plus = density_matrix(helpers.pure_density(np.array([1.0, 1.0]) / math.sqrt(2.0)))
+    shrunk = helpers.evolve(plus, [(depolarizing_channel(0.03, 1), [0])])
+    assert abs(expectation(shrunk, X) - (1.0 - 0.03 * 2.0)) < 1e-12
 
 
 def test_thermal_relaxation_limits():
     assert thermal_relaxation_channel(math.inf, math.inf, 100.0) is None
     assert thermal_relaxation_channel(50.0, 50.0, 0.0) is None
     channel = thermal_relaxation_channel(50.0, 70.0, 1000.0)
-    excited = DensityMatrix(1, helpers.pure_density([0.0, 1.0]))
-    decayed = excited.evolve(channel, [0])
+    excited = density_matrix(helpers.pure_density([0.0, 1.0]))
+    decayed = helpers.evolve(excited, [(channel, [0])])
     want_pop = math.exp(-1.0 / 50.0)  # 1000 ns against T1 = 50 us
-    assert abs((1.0 - decayed.expectation(Z)) / 2.0 - want_pop) < 1e-12
+    assert abs((1.0 - expectation(decayed, Z)) / 2.0 - want_pop) < 1e-12
     # ground state is a fixed point
-    ground = DensityMatrix.ground(1).evolve(channel, [0])
-    assert np.abs(ground.mat - DensityMatrix.ground(1).mat).max() < 1e-12
+    ground = helpers.evolve(helpers.ground_density(1), [(channel, [0])])
+    assert np.abs(ground - helpers.ground_density(1)).max() < 1e-12
 
 
 def test_relaxation_duration_guard_sits_at_zero():
@@ -308,9 +308,9 @@ def test_relaxation_duration_guard_sits_at_zero():
 def test_thermal_relaxation_coherence_decay():
     t1, t2, dt = 80.0, 60.0, 500.0
     channel = thermal_relaxation_channel(t1, t2, dt)
-    plus = DensityMatrix(1, helpers.pure_density(np.array([1.0, 1.0]) / math.sqrt(2.0)))
-    out = plus.evolve(channel, [0])
-    assert abs(out.expectation(X) - math.exp(-(dt / 1000.0) / t2)) < 1e-12
+    plus = density_matrix(helpers.pure_density(np.array([1.0, 1.0]) / math.sqrt(2.0)))
+    out = helpers.evolve(plus, [(channel, [0])])
+    assert abs(expectation(out, X) - math.exp(-(dt / 1000.0) / t2)) < 1e-12
 
 
 @settings(max_examples=80, deadline=None)

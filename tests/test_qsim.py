@@ -9,12 +9,16 @@ import helpers
 from edrsim.qsim import (
     ATOL,
     CNOT,
-    DensityMatrix,
     H,
     I2,
     X,
     Y,
     Z,
+    density_matrix,
+    evolve_stack,
+    expectation,
+    partial_trace,
+    probabilities,
     rx,
     ry,
     superoperator,
@@ -42,7 +46,7 @@ def test_apply_unitary_matches_literal_kron():
         (2, CNOT, [0, 1], CNOT),
     ):
         rho = helpers.rand_density(rng, 2**n)
-        got = DensityMatrix(n, rho).evolve(superoperator((u,)), targets).mat
+        got = helpers.evolve(rho, [(superoperator((u,)), targets)])
         assert np.abs(got - full @ rho @ full.conj().T).max() < 1e-15
 
 
@@ -51,8 +55,7 @@ def test_apply_unitary_respects_target_order():
     for basis in range(8):
         ket = np.zeros(8)
         ket[basis] = 1.0
-        state = DensityMatrix(3, helpers.pure_density(ket))
-        got = state.evolve(superoperator((CNOT,)), [2, 0]).mat
+        got = helpers.evolve(helpers.pure_density(ket), [(superoperator((CNOT,)), [2, 0])])
         bits = [(basis >> (2 - q)) & 1 for q in range(3)]
         out = bits.copy()
         if bits[2] == 1:
@@ -63,100 +66,111 @@ def test_apply_unitary_respects_target_order():
 
 
 def test_evolution_rejects_bad_targets():
-    state = DensityMatrix.ground(2)
+    stack = helpers.ground_density(2)[None]
     flip = superoperator((X,))
     cnot = superoperator((CNOT,))
     with pytest.raises(ValueError, match="outside register"):
-        state.evolve(flip, [2])
+        evolve_stack(stack, flip, [2])
     with pytest.raises(ValueError, match="duplicate"):
-        state.evolve(cnot, [0, 0])
+        evolve_stack(stack, cnot, [0, 0])
     with pytest.raises(ValueError, match="does not act on 1 target"):
-        state.evolve(cnot, [0])
+        evolve_stack(stack, cnot, [0])
     with pytest.raises(ValueError, match="does not act on 2 target"):
-        state.evolve(flip, [0, 1])
+        evolve_stack(stack, flip, [0, 1])
     with pytest.raises(ValueError, match="no target"):
-        state.evolve(flip, [])
+        evolve_stack(stack, flip, [])
 
 
 def test_ground_state():
-    state = DensityMatrix.ground(2)
-    assert state.num_qubits == 2
-    assert np.array_equal(state.probabilities(), [1.0, 0.0, 0.0, 0.0])
-    plus = DensityMatrix(1, helpers.pure_density(np.array([1.0, 1.0]) / math.sqrt(2.0)))
-    assert abs(plus.expectation(X) - 1.0) < 1e-12
+    state = density_matrix(helpers.ground_density(2))
+    assert state.shape == (4, 4)
+    assert np.array_equal(probabilities(state, [0, 1]), [1.0, 0.0, 0.0, 0.0])
+    plus = density_matrix(helpers.pure_density(np.array([1.0, 1.0]) / math.sqrt(2.0)))
+    assert abs(expectation(plus, X) - 1.0) < 1e-12
 
 
 def test_constructor_rejects_unphysical():
     with pytest.raises(ValueError):
-        DensityMatrix(1, np.array([[0.9, 0.0], [0.0, 0.0]]))
+        density_matrix(np.array([[0.9, 0.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
-        DensityMatrix(1, np.array([[0.5, 0.5], [0.0, 0.5]]))
+        density_matrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
     # hermitian, unit trace, but not PSD: only the oracle's state check digs that deep
-    sneaky = DensityMatrix(1, np.array([[1.5, 0.0], [0.0, -0.5]]))
+    sneaky = density_matrix(np.array([[1.5, 0.0], [0.0, -0.5]]))
     with pytest.raises(ValueError, match="eigenvalue"):
-        helpers.validate_state(sneaky.mat)
+        helpers.validate_state(sneaky)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (2, 4)])
+def test_state_functions_reject_a_shape_that_is_no_register(shape):
+    # Hermitian with unit trace where square, so only the shape check can reject it:
+    # a 1x1 array is 2**0 x 2**0, a register of no qubits
+    mat = np.eye(*shape) / min(shape)
+    for reject in (density_matrix, lambda m: partial_trace(m, [0]),
+                   lambda m: probabilities(m, [0])):
+        with pytest.raises(ValueError, match="shape"):
+            reject(mat)
 
 
 def test_trace_guard_sits_at_atol():
     # twice ATOL off unit trace raises; half of it passes
     with pytest.raises(ValueError, match="trace"):
-        DensityMatrix(1, np.diag([1.0 + 2.0 * ATOL, 0.0]))
-    DensityMatrix(1, np.diag([1.0 + ATOL / 2.0, 0.0]))
+        density_matrix(np.diag([1.0 + 2.0 * ATOL, 0.0]))
+    density_matrix(np.diag([1.0 + ATOL / 2.0, 0.0]))
 
 
 def test_observable_hermiticity_guard_sits_at_atol():
-    state = DensityMatrix.ground(1)
+    state = helpers.ground_density(1)
     with pytest.raises(ValueError, match="observable is not Hermitian"):
-        state.expectation(Z + np.array([[0.0, 2.0 * ATOL], [0.0, 0.0]]))
-    assert state.expectation(Z + np.array([[0.0, ATOL / 2.0], [0.0, 0.0]])) == 1.0
+        expectation(state, Z + np.array([[0.0, 2.0 * ATOL], [0.0, 0.0]]))
+    assert expectation(state, Z + np.array([[0.0, ATOL / 2.0], [0.0, 0.0]])) == 1.0
 
 
 def test_product_ordering():
     # the first kron factor is qubit 0, the most significant bit
-    state = DensityMatrix(2, helpers.pure_density([1.0, 0.0], [0.0, 1.0]))
-    assert np.array_equal(state.probabilities(), [0.0, 1.0, 0.0, 0.0])
+    state = helpers.pure_density([1.0, 0.0], [0.0, 1.0])
+    assert np.array_equal(probabilities(state, [0, 1]), [0.0, 1.0, 0.0, 0.0])
 
 
 def test_apply_unitary_requires_unitary():
-    state = DensityMatrix.ground(1)
     with pytest.raises(ValueError):
-        state.evolve(superoperator((np.array([[1.0, 0.0], [0.0, 2.0]]),)), [0])
+        helpers.evolve(helpers.ground_density(1),
+                       [(superoperator((np.array([[1.0, 0.0], [0.0, 2.0]]),)), [0])])
 
 
 def test_partial_trace_of_product_state():
     a = np.array([1.0, -1.0j]) / math.sqrt(2.0)
     b = np.array([math.cos(0.3), math.sin(0.3)])
-    joint = DensityMatrix(2, helpers.pure_density(a, b))
-    assert np.abs(joint.partial_trace([0]).mat - helpers.pure_density(a)).max() < 1e-13
-    assert np.abs(joint.partial_trace([1]).mat - helpers.pure_density(b)).max() < 1e-13
-    swapped = joint.partial_trace([1, 0])
-    assert np.abs(swapped.mat - helpers.pure_density(b, a)).max() < 1e-13
+    joint = helpers.pure_density(a, b)
+    assert np.abs(partial_trace(joint, [0]) - helpers.pure_density(a)).max() < 1e-13
+    assert np.abs(partial_trace(joint, [1]) - helpers.pure_density(b)).max() < 1e-13
+    swapped = partial_trace(joint, [1, 0])
+    assert np.abs(swapped - helpers.pure_density(b, a)).max() < 1e-13
 
 
 def test_partial_trace_of_entangled_state():
     hadamard, cnot = superoperator((H,)), superoperator((CNOT,))
-    bell = DensityMatrix.ground(2).evolve(hadamard, [0]).evolve(cnot, [0, 1])
+    bell = helpers.evolve(helpers.ground_density(2), [(hadamard, [0]), (cnot, [0, 1])])
     for q in (0, 1):
-        reduced = bell.partial_trace([q])
-        assert np.abs(reduced.mat - I2 / 2.0).max() < 1e-13
-    assert helpers.purity(bell.mat) > 1.0 - 1e-12
-    assert helpers.purity(bell.partial_trace([0]).mat) < 0.5 + 1e-12
+        reduced = partial_trace(bell, [q])
+        assert np.abs(reduced - I2 / 2.0).max() < 1e-13
+    assert helpers.purity(bell) > 1.0 - 1e-12
+    assert helpers.purity(partial_trace(bell, [0])) < 0.5 + 1e-12
 
 
 def test_probabilities_bit_order():
-    state = DensityMatrix(2, helpers.pure_density([1.0, 0.0], [0.0, 1.0]))  # |01>
-    assert np.array_equal(state.probabilities([0]), [1.0, 0.0])
-    assert np.array_equal(state.probabilities([1]), [0.0, 1.0])
-    assert np.array_equal(state.probabilities([1, 0]), [0.0, 0.0, 1.0, 0.0])
+    state = helpers.pure_density([1.0, 0.0], [0.0, 1.0])  # |01>
+    assert np.array_equal(probabilities(state, [0]), [1.0, 0.0])
+    assert np.array_equal(probabilities(state, [1]), [0.0, 1.0])
+    assert np.array_equal(probabilities(state, [1, 0]), [0.0, 0.0, 1.0, 0.0])
 
 
 def test_expectation_validation():
-    state = DensityMatrix.ground(1)
-    assert state.expectation(Z) == 1.0
+    state = helpers.ground_density(1)
+    assert expectation(state, Z) == 1.0
     with pytest.raises(ValueError):
-        state.expectation(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        expectation(state, np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
-        state.expectation(np.eye(4))
+        expectation(state, np.eye(4))
 
 
 def test_kraus_channel_validation():
@@ -174,8 +188,8 @@ def test_kraus_channel_validation():
     superoperator((math.sqrt(1.0 + ATOL / 2.0) * I2,))
     flip = superoperator((math.sqrt(0.75) * I2, math.sqrt(0.25) * X))
     assert flip.shape == (4, 4)  # a one-qubit channel
-    state = DensityMatrix.ground(1).evolve(flip, [0])
-    assert abs(state.expectation(Z) - 0.5) < 1e-12
+    state = helpers.evolve(helpers.ground_density(1), [(flip, [0])])
+    assert abs(expectation(state, Z) - 0.5) < 1e-12
 
 
 def test_apply_channel_on_one_of_two_qubits():
@@ -183,38 +197,38 @@ def test_apply_channel_on_one_of_two_qubits():
     ops = tuple(m / 2.0 for m in (I2, X, Y, Z))
     depol = superoperator(ops)
     rho = helpers.pure_density(np.array([1.0, -1.0j]) / math.sqrt(2.0), [0.0, 1.0])
-    state = DensityMatrix(2, rho).evolve(depol, [0])
-    assert np.abs(state.partial_trace([0]).mat - I2 / 2.0).max() < 1e-12
-    assert abs(state.partial_trace([1]).expectation(Z) + 1.0) < 1e-12
+    state = helpers.evolve(rho, [(depol, [0])])
+    assert np.abs(partial_trace(state, [0]) - I2 / 2.0).max() < 1e-12
+    assert abs(expectation(partial_trace(state, [1]), Z) + 1.0) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_unitary_evolution_preserves_state_axioms(seed):
     rng = np.random.default_rng(seed)
-    state = DensityMatrix(2, helpers.rand_density(rng, 4))
+    state = density_matrix(helpers.rand_density(rng, 4))
     u = helpers.rand_unitary(rng, 2)
     target = int(rng.integers(0, 2))
-    evolved = state.evolve(superoperator((u,)), [target])
-    helpers.validate_state(evolved.mat)
-    assert abs(np.trace(evolved.mat).real - 1.0) < 1e-10
-    assert abs(helpers.purity(evolved.mat) - helpers.purity(state.mat)) < 1e-10
+    evolved = helpers.evolve(state, [(superoperator((u,)), [target])])
+    helpers.validate_state(evolved)
+    assert abs(np.trace(evolved).real - 1.0) < 1e-10
+    assert abs(helpers.purity(evolved) - helpers.purity(state)) < 1e-10
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_channel_evolution_preserves_state_axioms(seed):
     rng = np.random.default_rng(seed)
-    state = DensityMatrix(2, helpers.rand_density(rng, 4))
+    state = density_matrix(helpers.rand_density(rng, 4))
     # random channel from a 2-qubit unitary dilation on (target, environment)
     big = helpers.rand_unitary(rng, 4)
     ops = tuple(big[i * 2:(i + 1) * 2, 0:2] for i in range(2))
     target = int(rng.integers(0, 2))
-    evolved = state.evolve(superoperator(ops), [target])
-    helpers.validate_state(evolved.mat)
-    assert abs(np.trace(evolved.mat).real - 1.0) < 1e-10
-    assert helpers.purity(evolved.mat) <= 1.0 + 1e-10
-    probs = evolved.probabilities()
+    evolved = helpers.evolve(state, [(superoperator(ops), [target])])
+    helpers.validate_state(evolved)
+    assert abs(np.trace(evolved).real - 1.0) < 1e-10
+    assert helpers.purity(evolved) <= 1.0 + 1e-10
+    probs = probabilities(evolved, [0, 1])
     assert np.all(probs >= -1e-12)
     assert abs(probs.sum() - 1.0) < 1e-10
 
@@ -223,12 +237,12 @@ def test_channel_evolution_preserves_state_axioms(seed):
 @given(st.integers(0, 2**32 - 1))
 def test_partial_trace_matches_embedded_expectation(seed):
     rng = np.random.default_rng(seed)
-    state = DensityMatrix(3, helpers.rand_density(rng, 8))
+    state = density_matrix(helpers.rand_density(rng, 8))
     qubit = int(rng.integers(0, 3))
     factors = [I2, I2, I2]
     factors[qubit] = Z
-    direct = state.expectation(np.kron(np.kron(factors[0], factors[1]), factors[2]))
-    reduced = state.partial_trace([qubit]).expectation(Z)
+    direct = expectation(state, np.kron(np.kron(factors[0], factors[1]), factors[2]))
+    reduced = expectation(partial_trace(state, [qubit]), Z)
     assert abs(direct - reduced) < 1e-10
 
 
@@ -254,11 +268,10 @@ def _check_evolution_against_oracle(n, targets, kind, seed):
     rng = np.random.default_rng(seed)
     rho = helpers.rand_density(rng, 2**n)
     ops = _kraus_operators(kind, len(targets), rng)
-    state = DensityMatrix(n, rho)
-    got = state.evolve(superoperator(ops), targets)
+    got = helpers.evolve(density_matrix(rho), [(superoperator(ops), targets)])
     want = helpers.oracle_apply_kraus(rho, ops, list(targets), n)
-    assert np.abs(got.mat - want).max() <= 1e-12
-    helpers.validate_state(got.mat)  # evolution skips the construction checks; these still hold
+    assert np.abs(got - want).max() <= 1e-12
+    helpers.validate_state(got)  # evolution skips density_matrix's checks; these still hold
 
 
 @settings(max_examples=120, deadline=None)
