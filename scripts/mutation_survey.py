@@ -8,8 +8,8 @@ there (the checkout is never touched), and runs ``python -m pytest -x -q
 -p no:cacheprovider`` in that directory, so each run starts with an empty
 hypothesis database.  A mutant is killed when
 the run fails.  An unmutated copy runs first and must pass, or nothing can
-be told.  An old text that is not found exactly once is an error, not a
-pass.
+be told; the mutants then run two at a time.  An old text that is not found
+exactly once is an error, not a pass.
 
     python scripts/mutation_survey.py
 
@@ -25,9 +25,11 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+WORKERS = 2  # suites run at once, each in its own subprocess
 
 # (id, file under src/edrsim, exact old text, new text, what the fault means)
 MUTANTS = (
@@ -78,6 +80,19 @@ MUTANTS = (
      "if rho.shape != (2**n, 2**n):", "state shape check admits a 1x1 register of no qubits"),
     ("exit-code", "cli.py", 'print(f"error: {exc}", file=sys.stderr)\n        return 2',
      'print(f"error: {exc}", file=sys.stderr)\n        return 1', "runtime exit code 2 -> 1"),
+    ("seq-mean", "sweep.py", "return np.cumsum(values, axis=1)[:, -1] / values.shape[1]",
+     "return values.mean(axis=1)", "repeat mean by numpy's pairwise sum"),
+    ("sqrt-form", "estimators.py", "np.sqrt((1.0 - s) * (1.0 + s))", "np.sqrt(1.0 - s * s)",
+     "sin(theta) as sqrt(1 - s s), which rounds differently"),
+    ("imag-resid", "qsim.py", "if abs(val.imag) > 1e-10:", "if abs(val.imag) > 1e-6:",
+     "expectation's imaginary-residue guard loosened"),
+    ("hermitian-state", "qsim.py", "dev = np.max(np.abs(m - m.conj().T))\n    if dev > ATOL:",
+     'dev = np.max(np.abs(m - m.conj().T))\n    if dev > (1e-6 if what == "density matrix" else ATOL):',
+     "state Hermiticity guard loosened"),
+    ("branciard-radicand", "bounds.py", "if radicand < -1e-12:", "if radicand < -1e-6:",
+     "Branciard radicand guard loosened"),
+    ("eff-bound-guard", "bounds.py", "theta_w <= math.pi / 2.0 + 1e-12:",
+     "theta_w <= math.pi / 2.0 + 1e-3:", "effective_bound's angle guard loosened"),
 )
 
 
@@ -116,12 +131,13 @@ def main() -> int:
     if not passed:
         return 2
     survived = []
-    for mutant in MUTANTS:
-        passed, seconds = run_suite(mutant)
-        print(f"{'SURVIVED' if passed else 'killed  '} {mutant[0]:>20}  {mutant[4]} ({seconds:.1f} s)",
-              flush=True)
-        if passed:
-            survived.append(mutant[0])
+    with ThreadPoolExecutor(WORKERS) as pool:
+        # map yields in table order, each result as soon as it and those before it are done
+        for mutant, (passed, seconds) in zip(MUTANTS, pool.map(run_suite, MUTANTS)):
+            print(f"{'SURVIVED' if passed else 'killed  '} {mutant[0]:>20}  {mutant[4]} ({seconds:.1f} s)",
+                  flush=True)
+            if passed:
+                survived.append(mutant[0])
     killed = len(MUTANTS) - len(survived)
     print(f"{killed} of {len(MUTANTS)} mutants killed in {time.perf_counter() - start:.0f} s")
     if survived:

@@ -70,8 +70,8 @@ def _rms(op: np.ndarray, system_state: np.ndarray, strength: float | np.ndarray)
         raise ValueError("system state must be a single qubit")
     m0, m1 = np.sqrt((1.0 + s) / 2.0)[..., None, None], np.sqrt((1.0 - s) / 2.0)[..., None, None]
     w = m0 * op[:, 0::2] + m1 * op[:, 1::2]
-    wtw = w.conj().swapaxes(-1, -2) @ w
-    out = np.sqrt(np.maximum(np.trace(system_state @ wtw, axis1=-2, axis2=-1).real, 0.0))
+    prod = system_state @ (w.conj().swapaxes(-1, -2) @ w)
+    out = np.sqrt(np.maximum((prod[..., 0, 0] + prod[..., 1, 1]).real, 0.0))
     return float(out) if out.ndim == 0 else out
 
 

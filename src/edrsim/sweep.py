@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from itertools import repeat
 from typing import NamedTuple, Sequence, get_type_hints
 
@@ -126,12 +127,15 @@ def post_probe_system_state(theta_w: float, noise: NoiseModel | None = None) -> 
     return partial_trace(prefix_state(theta_w, noise), [SYSTEM])
 
 
+@cache
+def _ideal_sigmas() -> tuple[float, float]:
+    """sigma_A and sigma_B on the fixed |R> input, computed and checked once per process."""
+    return tuple(standard_deviation(reference_input_state(), obs) for obs in (Z, X))
+
+
 def _sequential_mean(values: np.ndarray) -> np.ndarray:
-    """Mean over axis 1, added in order: numpy's pairwise sum would round differently."""
-    total = np.zeros(values.shape[:1] + values.shape[2:])
-    for index in range(values.shape[1]):
-        total = total + values[:, index]
-    return total / values.shape[1]
+    """Mean over axis 1, added in order by cumsum: numpy's pairwise sum rounds differently."""
+    return np.cumsum(values, axis=1)[:, -1] / values.shape[1]
 
 
 def _rms(values: np.ndarray, center: np.ndarray) -> np.ndarray:
@@ -140,9 +144,7 @@ def _rms(values: np.ndarray, center: np.ndarray) -> np.ndarray:
     return np.sqrt(_sequential_mean(deviation * deviation))
 
 
-def _row_statistics(
-    squares: np.ndarray, sigmas: tuple[float, float], c: float
-) -> dict[str, list]:
+def _row_statistics(squares: np.ndarray, sigmas: tuple[float, float], c: float) -> dict[str, list]:
     """Per-point estimate and relation columns from (points, repeats, 2) squared estimates.
 
     The relations are classified at the mean estimates; each left-hand
@@ -158,17 +160,16 @@ def _row_statistics(
         return edr_bounds.classify(edr_bounds.EdrInputs(v[..., 0], v[..., 1], *sigmas, c))
 
     lhs, satisfied = relations(means)
-    # one repeat is its own mean, bit for bit: its relations are those at the mean
-    at_repeats = relations(roots)[0] if squares.shape[1] > 1 else {
-        name: values[:, None] for name, values in lhs.items()}
-    columns = {}
-    for k, name in enumerate(("epsilon", "eta")):
-        columns[f"{name}_mean"] = means[:, k]
-        columns[f"{name}_rms"] = _rms(roots[..., k], means[:, k])
+    columns = {"epsilon_mean": means[:, 0], "eta_mean": means[:, 1]}
     for name in edr_bounds.BOUND_NAMES:
         columns[f"{name}_lhs"] = lhs[name]
-        columns[f"{name}_rms"] = _rms(at_repeats[name], lhs[name])
         columns[f"{name}_satisfied"] = satisfied[name]
+    centers = {"epsilon": means[:, 0], "eta": means[:, 1], **lhs}
+    if squares.shape[1] == 1:  # one repeat is its own mean, bit for bit: no scatter
+        columns.update((f"{name}_rms", np.zeros(len(squares))) for name in centers)
+    else:
+        at_repeats = {"epsilon": roots[..., 0], "eta": roots[..., 1], **relations(roots)[0]}
+        columns.update((f"{name}_rms", _rms(at_repeats[name], v)) for name, v in centers.items())
     return {name: values.tolist() for name, values in columns.items()}
 
 
@@ -183,8 +184,8 @@ def run_sweep(cfg: SweepConfig) -> list[SweepResultRow]:
     simulated = cfg.sigma_source == "simulated"
     reduced = partial_trace(prefix, [SYSTEM]) if model is None or simulated else None
     probe_state = reduced if model is None else post_probe_system_state(theta_w)
-    sigma_state = reduced if simulated else reference_input_state()
-    sigmas = (standard_deviation(sigma_state, Z), standard_deviation(sigma_state, X))
+    sigmas = ((standard_deviation(reduced, Z), standard_deviation(reduced, X)) if simulated
+              else _ideal_sigmas())
     c = edr_bounds.effective_bound(theta_w)
     eps_refs = exact_error(probe_state, cfg.strengths).tolist()
     eta_refs = exact_disturbance(probe_state, cfg.strengths).tolist()
@@ -210,29 +211,27 @@ def run_sweep(cfg: SweepConfig) -> list[SweepResultRow]:
 
 _COLUMN_TYPES = tuple(get_type_hints(SweepResultRow).values())
 _BOOL_CELLS = tuple(i for i, kind in enumerate(_COLUMN_TYPES) if kind is bool)
-_STR_CELLS = tuple(i for i, kind in enumerate(_COLUMN_TYPES) if kind is str)
 # one conversion per column: 17 significant digits for floats, str() for the rest
 _CELL_SPECS = tuple("%.17g" if kind is float else "%s" for kind in _COLUMN_TYPES)
 _CSV_ROW = ",".join(_CELL_SPECS)
+# the one string column, method, holds "exact" or "sampled": JSON's template quotes it
 _JSON_ROW = "\n    {" + ", ".join(
-    f"{json.dumps(name)}: {spec}" for name, spec in zip(CSV_COLUMNS, _CELL_SPECS)
+    f"{json.dumps(name)}: {json.dumps(spec) if kind is str else spec}"
+    for name, spec, kind in zip(CSV_COLUMNS, _CELL_SPECS, _COLUMN_TYPES)
 ) + "}"
 
 
-def _cells(row: SweepResultRow, quote: bool) -> tuple:
-    """The row's values with booleans spelled ``true``/``false`` and, for JSON, strings quoted."""
+def _cells(row: SweepResultRow) -> tuple:
+    """The row's values with booleans spelled ``true``/``false``."""
     cells = list(row)
     for i in _BOOL_CELLS:
         cells[i] = "true" if cells[i] else "false"
-    if quote:
-        for i in _STR_CELLS:
-            cells[i] = json.dumps(cells[i])
     return tuple(cells)
 
 
 def emit_csv(rows: Sequence[SweepResultRow]) -> str:
     """Deterministic CSV text: fixed column order, 17-significant-digit floats, LF endings."""
-    lines = (_CSV_ROW % _cells(row, False) for row in rows)
+    lines = (_CSV_ROW % _cells(row) for row in rows)
     return "\n".join([",".join(CSV_COLUMNS), *lines]) + "\n"
 
 
@@ -265,7 +264,7 @@ def emit_json(rows: Sequence[SweepResultRow], config: SweepConfig | None = None)
     """Schema-versioned JSON envelope with the same values as the CSV form."""
     summary = config_summary(config) if config is not None else None
     # each row template starts its own line, so no rows leave "[" and "]" on adjacent lines
-    body = ",".join(_JSON_ROW % _cells(row, True) for row in rows)
+    body = ",".join(_JSON_ROW % _cells(row) for row in rows)
     return (
         '{\n  "schema_version": 1,\n'
         f'  "config": {_jdump(summary)},\n'

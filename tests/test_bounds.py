@@ -112,6 +112,12 @@ def test_effective_bound_curve():
         effective_bound(2.0)
 
 
+def test_effective_bound_angle_guard_sits_at_1e_12_past_pi_over_2():
+    with pytest.raises(ValueError, match="outside"):
+        effective_bound(math.pi / 2.0 + 2e-12)
+    assert abs(effective_bound(math.pi / 2.0 + 5e-13) - 1.0) < 1e-15
+
+
 def test_effective_bound_monotone_in_probe_angle():
     grid = np.linspace(0.0, math.pi / 2.0, 50)
     values = [effective_bound(t) for t in grid]
@@ -167,6 +173,19 @@ def test_stronger_bounds_never_exceed_weaker(epsilon, eta, c):
     inputs = EdrInputs(epsilon, eta, 1.0, 1.0, c)
     assert strong_branciard_lhs(inputs) <= branciard_lhs(inputs) + 1e-9
     assert branciard_lhs(inputs) <= ozawa_lhs(inputs) + 1e-9
+
+
+def test_branciard_radicand_guard_sits_at_1e_12():
+    # c = 1 and sigma_a sigma_b = 1 - d give the radicand -2d (1 - d / 2); the
+    # constructor's own guard admits d up to 1e-12, so twice the tolerance is reachable
+    outside = EdrInputs(0.5, 0.5, 1.0, 1.0 - 1e-12, 1.0)
+    inside = EdrInputs(0.5, 0.5, 1.0, 1.0 - 2.5e-13, 1.0)
+    for inputs, radicand in ((outside, -2e-12), (inside, -5e-13)):
+        assert abs((inputs.sigma_a * inputs.sigma_b) ** 2 - inputs.c**2 - radicand) < 1e-15
+    with pytest.raises(ValueError, match="is negative"):
+        branciard_lhs(outside)
+    e = 0.5 * inside.sigma_b
+    assert branciard_lhs(inside) == math.sqrt(e * e + 0.5 * 0.5)
 
 
 def test_branciard_radicand_rounds_up_to_zero():

@@ -284,6 +284,22 @@ def test_readout_map_matches_per_point_evolution(profile, include_idle, probe, s
         assert np.abs(row - want).max() <= 1e-12
 
 
+@pytest.mark.parametrize("model_name", ["ideal", "representative"])
+def test_basis_probabilities_are_bit_exact(model_name):
+    # b0 + s b1 + sqrt((1 - s)(1 + s)) b2 is all correctly rounded IEEE operations,
+    # so numpy must give the bits of the same expression in Python floats
+    basis, _ = readout_basis(THETA_W, NOISE_MODELS[model_name])
+    b0, b1, b2 = basis.tolist()
+    edges = [0.0, 1e-9, 1e-300, 0.5, 1.0 - 1e-12, 1.0]
+    grid = np.linspace(0.0, 1.0, 21).tolist()
+    got = basis_probabilities(basis, np.array(edges + grid)).tolist()
+    got += [basis_probabilities(basis, s).tolist() for s in edges]
+    for s, row in zip(edges + grid + edges, got):
+        root = math.sqrt((1.0 - s) * (1.0 + s))
+        want = [x + s * y + root * z for x, y, z in zip(b0, b1, b2)]
+        assert row == want, s
+
+
 def test_inverse_probe_strength_guard_sits_at_1e_12():
     probs = outcome_distribution(THETA_W, 0.3)
     theta_w = math.acos(1e-12)

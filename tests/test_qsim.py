@@ -125,6 +125,22 @@ def test_observable_hermiticity_guard_sits_at_atol():
     assert expectation(state, Z + np.array([[0.0, ATOL / 2.0], [0.0, 0.0]])) == 1.0
 
 
+def test_state_hermiticity_guard_sits_at_atol():
+    with pytest.raises(ValueError, match="density matrix is not Hermitian"):
+        density_matrix(np.array([[1.0, 2.0 * ATOL], [0.0, 0.0]]))
+    density_matrix(np.array([[1.0, ATOL / 2.0], [0.0, 0.0]]))
+
+
+def test_imaginary_residue_guard_sits_at_1e_10():
+    # tr(rho X) = rho01 + rho10 takes rho01's imaginary part exactly
+    def residue(imag):
+        return np.array([[0.5, complex(0.5, imag)], [0.5, 0.5]])
+
+    with pytest.raises(ValueError, match="imaginary residue"):
+        expectation(residue(2e-10), X)
+    assert expectation(residue(5e-11), X) == 1.0
+
+
 def test_product_ordering():
     # the first kron factor is qubit 0, the most significant bit
     state = helpers.pure_density([1.0, 0.0], [0.0, 1.0])

@@ -20,6 +20,7 @@ import edrsim.sweep
 from edrsim.bounds import effective_bound
 from edrsim.circuit import SYSTEM, angle_for_strength
 from edrsim.estimators import (
+    CORRELATOR_SIGNS,
     basis_probabilities,
     outcome_distribution,
     readout_basis,
@@ -471,6 +472,46 @@ def test_rows_match_row_statistics_oracle(points, profile, sigma_source, shots):
         assert abs(row.epsilon_exact**2 - helpers.oracle_error(probe, row.strength) ** 2) <= 1e-12
         assert abs(row.eta_exact**2 - helpers.oracle_disturbance(probe, row.strength) ** 2) <= 1e-12
         assert (row.shots, row.repeats) == ((0, 1) if row.method == "exact" else (cfg.shots, cfg.repeats))
+
+
+def test_sampled_mean_and_rms_cells_are_bit_exact():
+    # +, -, *, / and sqrt round correctly in Python floats and numpy alike, so each
+    # sampled row's estimate cells, recomputed in plain Python from its integer
+    # counts in the documented order, must match with ==: the correlator summed in
+    # outcome order, then the repeats summed in repeat order, and d * d, not d ** 2
+    cfg = SweepConfig(strengths=default_strength_grid(21), mode="both")
+    assert (cfg.shots, cfg.repeats, cfg.seed, cfg.noise_profile) == (100_000, 10, 12345, None)
+    theta_w = angle_for_strength(cfg.theta_w_strength)
+    cw = math.cos(theta_w)
+    basis, _ = readout_basis(theta_w)
+    probs = basis_probabilities(basis, cfg.strengths)
+    rows = run_sweep(cfg)
+    for row in rows[:21]:
+        assert row.method == "exact"
+        rms = (row.epsilon_rms, row.eta_rms, row.heisenberg_rms, row.ozawa_rms,
+               row.branciard_rms, row.strong_branciard_rms)
+        assert all(value == 0.0 for value in rms), row.strength
+    for index, row in enumerate(rows[21:]):
+        assert row.method == "sampled" and row.strength == cfg.strengths[index]
+        counts = sample_counts(probs[index], cfg.shots, [cfg.seed, index], cfg.repeats).tolist()
+        for k, name in enumerate(("epsilon", "eta")):
+            roots = []
+            for batch in counts:
+                correlator = 0
+                for count, signs in zip(batch, CORRELATOR_SIGNS.tolist()):
+                    correlator += count * signs[k]
+                square = 2.0 * (1.0 - correlator / cfg.shots / cw)
+                roots.append(math.sqrt(max(square, 0.0)))
+            total = 0.0
+            for root in roots:
+                total += root
+            mean = total / len(roots)
+            total = 0.0
+            for root in roots:
+                d = root - mean
+                total += d * d
+            assert getattr(row, f"{name}_mean") == mean, (row.strength, name)
+            assert getattr(row, f"{name}_rms") == math.sqrt(total / len(roots)), (row.strength, name)
 
 
 def test_noisy_sweep_keeps_valid_flags():
